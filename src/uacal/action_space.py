@@ -127,16 +127,18 @@ def ball_offsets(grid: ActionGrid, m: Metric, tau: float) -> np.ndarray:
     """Integer coordinate offsets with metric length strictly below tau.
 
     The metric is translation invariant on coordinates, so the tau-ball
-    around any action is this stencil clipped to the grid. Shape
-    (n_offsets, ndim); empty when tau <= 0.
+    around any action is this stencil clipped to the grid. Each axis's
+    reach is capped at dims - 1, since a longer offset never lands on the
+    grid. Shape (n_offsets, ndim); empty when tau <= 0.
     """
     if tau < 0:
         raise ParameterError("tau must be nonnegative")
     units = m.axis_units(grid)
     if tau == 0:
         return np.empty((0, grid.ndim), dtype=np.int64)
-    # per-axis reach: largest k with k*unit < tau
-    reach = [max(0, math.ceil(tau / u) - 1) for u in units]
+    # per-axis reach: largest k with k*unit < tau, within the grid
+    reach = [min(n - 1, max(0, math.ceil(tau / u) - 1))
+             for u, n in zip(units, grid.dims)]
     axes = [np.arange(-r, r + 1, dtype=np.int64) for r in reach]
     mesh = np.meshgrid(*axes, indexing="ij")
     offs = np.stack([g.ravel() for g in mesh], axis=-1)

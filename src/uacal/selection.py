@@ -7,16 +7,19 @@ Five modes:
                      tau-neighborhood (strict ``d < tau``), evaluated
                      exactly for any metric via a translation-invariant
                      stencil.
-* ``ua_fast``      - same result for the chebyshev metric, computed with
-                     inclusive prefix-sum (summed-area/volume) tables.
+* ``ua_fast``      - same neighborhoods for the chebyshev metric, whose
+                     tau-ball is a box: separable unit-tap sums per axis.
 * ``ua_restricted``- thresholded variant: keep actions above a probability
-                     floor (top-k capped), search a window around their
-                     mean coordinate, score each window cell against the
-                     retained actions only.
+                     floor (top-k capped), zero the rest, and run the
+                     stencil on a window around their mean coordinate,
+                     grown by the stencil reach.
 * ``gaussian``     - separable truncated-Gaussian blur of the field
                      (1-2 axes), then argmax.
 
-Every mode breaks ties by lowest flat index and is bit-deterministic.
+Two kernels compute every aggregate: the stencil shift-add
+(``ua_exact``, ``ua_restricted``) and a separable per-axis tap kernel
+(``ua_fast``, ``gaussian``). Every mode breaks ties by lowest flat index
+and is bit-deterministic.
 """
 
 from __future__ import annotations
@@ -130,44 +133,33 @@ def ua_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     return _result_from_scores(sums)
 
 
-def _chebyshev_half_widths(grid: ActionGrid, metric: Metric, tau: float) -> list[int]:
-    units = metric.axis_units(grid)
-    return [max(0, math.ceil(tau / u) - 1) for u in units]
+def _separable_sums(field: np.ndarray, taps) -> np.ndarray:
+    """Per-axis zero-padded shift-add with odd, centered ``taps[ax]``.
 
-
-def box_sums(grid: ActionGrid, values: np.ndarray, half_widths) -> np.ndarray:
-    """Boundary-clipped box sums via padded inclusive prefix tables, flat order."""
-    field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    pref = field
-    for ax in range(field.ndim):
-        pref = np.cumsum(pref, axis=ax)
-        pad = [(0, 0)] * field.ndim
-        pad[ax] = (1, 0)
-        pref = np.pad(pref, pad)
-    # pref[i0+1, ...] = inclusive prefix; box sum by inclusion-exclusion
-    los, his = [], []
-    for ax, (n, h) in enumerate(zip(field.shape, half_widths)):
-        idx = np.arange(n)
-        los.append(np.clip(idx - h, 0, n))
-        his.append(np.clip(idx + h + 1, 0, n))
-    out = np.zeros(field.shape)
-    ndim = field.ndim
-    for corner in range(1 << ndim):
-        pick = []
-        sign = 1
-        for ax in range(ndim):
-            if corner >> ax & 1:
-                pick.append(los[ax])
-                sign = -sign
-            else:
-                pick.append(his[ax])
-        ix = np.ix_(*pick)
-        out += sign * pref[ix]
-    return out.ravel()
+    Along each axis in turn, out[x] = sum of taps[o + r] * field[x + o] over
+    in-bounds o, added in ascending o, so cells whose clipped windows hold
+    equal values get bit-identical sums.
+    """
+    for ax, w in enumerate(taps):
+        r = len(w) // 2
+        n = field.shape[ax]
+        out = np.zeros_like(field)
+        for o in range(max(-r, 1 - n), min(r, n - 1) + 1):
+            src = [slice(None)] * field.ndim
+            dst = list(src)
+            src[ax] = slice(max(o, 0), n + min(o, 0))
+            dst[ax] = slice(max(-o, 0), n - max(o, 0))
+            out[tuple(dst)] += w[o + r] * field[tuple(src)]
+        field = out
+    return field
 
 
 def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
-    """Prefix-sum path for chebyshev neighborhoods on 1-3 axis grids."""
+    """Chebyshev neighborhoods on 1-3 axis grids as separable box sums.
+
+    The chebyshev tau-ball is a box, so unit taps spanning the stencil's
+    per-axis reach give the same neighborhood as ``ua_select``.
+    """
     if cfg.metric.kind != "chebyshev":
         raise UnsupportedConfigError(
             f"ua_select_fast requires the chebyshev metric, got {cfg.metric.kind!r}")
@@ -176,28 +168,19 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if cfg.tau == 0.0:
         return SelectionResult(0, 0.0, 0.0, p.grid.size,
                                ("degenerate_neighborhood",))
-    h = _chebyshev_half_widths(p.grid, cfg.metric, cfg.tau)
-    sums = box_sums(p.grid, p.values, h)
-    # Prefix-sum differencing carries ~1e-16 relative noise, which would
-    # break lowest-index tie-breaking on exactly tied scores. Re-score the
-    # near-max candidates with direct clipped box sums and pick among those.
-    near = np.flatnonzero(sums >= sums.max() - 1e-9)
-    if near.size > 1:
-        field = p.values.reshape(p.grid.dims)
-        exact = np.empty(near.size)
-        for i, flat in enumerate(near):
-            c = np.unravel_index(int(flat), p.grid.dims)
-            sl = tuple(slice(max(0, ci - hi), min(n, ci + hi + 1))
-                       for ci, hi, n in zip(c, h, p.grid.dims))
-            exact[i] = field[sl].sum()
-        res = _result_from_scores(exact, actions=near)
-        return SelectionResult(res.action, res.aggregated_score,
-                               res.runner_up_gap, p.grid.size)
-    return _result_from_scores(sums)
+    reach = np.abs(ball_offsets(p.grid, cfg.metric, cfg.tau)).max(axis=0)
+    field = np.asarray(p.values, dtype=np.float64).reshape(p.grid.dims)
+    sums = _separable_sums(field, [np.ones(2 * h + 1) for h in reach])
+    return _result_from_scores(sums.ravel())
 
 
 def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
-    """Restricted-search aggregation around the high-probability region."""
+    """Restricted-search aggregation around the high-probability region.
+
+    Actions outside the retained set are zeroed; the stencil then runs on a
+    window around the retained mean, grown by the stencil reach so every
+    window cell sees its whole clipped neighborhood.
+    """
     grid = p.grid
     values = p.values
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / grid.size
@@ -214,30 +197,21 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     r_coords = np.stack(np.unravel_index(retained, grid.dims), axis=-1)
     center = np.floor(r_coords.mean(axis=0) + 0.5).astype(np.int64)
     center = np.minimum(np.maximum(center, 0), dims - 1)
-
     half = cfg.window // 2
-    axes = [np.arange(max(0, c - half), min(n, c + half + 1))
-            for c, n in zip(center, dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    h_coords = np.stack([g.ravel() for g in mesh], axis=-1)  # ascending flat order
-    h_flat = np.ravel_multi_index(tuple(h_coords.T), grid.dims)
+    lo = np.maximum(center - half, 0)
+    hi = np.minimum(center + half + 1, dims)
 
-    units = cfg.metric.axis_units(grid)
-    r_scaled = r_coords * units
-    r_probs = values[retained]
-    scores = np.empty(h_coords.shape[0])
-    chunk = 4096
-    for start in range(0, h_coords.shape[0], chunk):
-        block = h_coords[start:start + chunk] * units
-        delta = np.abs(block[:, None, :] - r_scaled[None, :, :])
-        if cfg.metric.kind == "euclidean":
-            dist = np.sqrt(np.sum(delta * delta, axis=2))
-        elif cfg.metric.kind == "chebyshev":
-            dist = np.max(delta, axis=2)
-        else:
-            dist = np.sum(delta, axis=2)
-        scores[start:start + chunk] = (dist < cfg.tau) @ r_probs
-    return _result_from_scores(scores, actions=h_flat)
+    offs = ball_offsets(grid, cfg.metric, cfg.tau)
+    reach = np.abs(offs).max(axis=0, initial=0)
+    crop_lo = np.maximum(lo - reach, 0)
+    crop = tuple(slice(a, b) for a, b in zip(crop_lo, np.minimum(hi + reach, dims)))
+    masked = np.zeros(grid.size)
+    masked[retained] = values[retained]
+    sums = _shifted_sums(masked.reshape(grid.dims)[crop], offs)
+    window = tuple(slice(a - c, b - c) for a, b, c in zip(lo, hi, crop_lo))
+    cells = np.indices(tuple(hi - lo)).reshape(grid.ndim, -1) + lo[:, None]
+    return _result_from_scores(sums[window].ravel(),
+                               actions=np.ravel_multi_index(tuple(cells), grid.dims))
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -252,18 +226,8 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 def gaussian_blur(grid: ActionGrid, values: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-axis blur with zero padding, flat order."""
-    kernel = gaussian_kernel(sigma)
-    r = len(kernel) // 2
     field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    for ax in range(field.ndim):
-        out = np.zeros_like(field)
-        offsets = np.arange(-r, r + 1)
-        for w, o in zip(kernel, offsets):
-            off = np.zeros(field.ndim, dtype=np.int64)
-            off[ax] = o
-            out += w * _shifted_sums(field, off[None, :])
-        field = out
-    return field.ravel()
+    return _separable_sums(field, [gaussian_kernel(sigma)] * grid.ndim).ravel()
 
 
 def gaussian_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from uacal.action_space import (
     ActionGrid,
     Metric,
+    ball_offsets,
     coords_of,
     distance,
     flat_index,
@@ -181,6 +182,15 @@ class TestNeighborhood:
         small = set(neighborhood(grid, m, a, t1).tolist())
         big = set(neighborhood(grid, m, a, t2).tolist())
         assert small <= big
+
+    def test_ball_offsets_bounded_by_grid(self):
+        # reach is capped at dims - 1 per axis: 7 x 7 offsets, not ~pi * 50^2
+        grid = ActionGrid((4, 4))
+        m = Metric("euclidean")
+        assert ball_offsets(grid, m, 50.0).shape == (49, 2)
+        for a in range(grid.size):
+            assert neighborhood(grid, m, a, 50.0).tolist() == \
+                oracle_neighborhood(grid, m, a, 50.0) == list(range(grid.size))
 
     def test_contains_self_when_tau_positive(self, rng):
         grid = ActionGrid((6, 6))

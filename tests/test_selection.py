@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uacal.action_space import ActionGrid, Metric, coords_of, flat_index
 from uacal.calibration import LogitField, ProbField, apply_temperature, softmax
@@ -24,6 +26,7 @@ from conftest import (
 
 EUCL = Metric("euclidean")
 CHEB = Metric("chebyshev")
+KINDS = ["euclidean", "chebyshev", "manhattan"]
 
 
 def prob(values):
@@ -35,6 +38,26 @@ def random_grid(rng, max_side=12, max_axes=3):
     naxes = int(rng.integers(1, max_axes + 1))
     dims = tuple(int(d) for d in rng.integers(2, max_side + 1, size=naxes))
     return ActionGrid(dims)
+
+
+@st.composite
+def scaled_setups(draw, max_axes, max_side, kinds=KINDS):
+    """(grid, metric, tau) with random cell sizes and metric scales.
+
+    Some taus are whole multiples of one axis unit, which put cells
+    exactly at the strict-< boundary up to rounding.
+    """
+    naxes = draw(st.integers(1, max_axes))
+    sizes = st.sampled_from([0.1, 0.25, 0.3, 1.0, 1.5]) | st.floats(0.1, 2.0)
+    dims = tuple(draw(st.lists(st.integers(1, max_side), min_size=naxes, max_size=naxes)))
+    cell = tuple(draw(st.lists(sizes, min_size=naxes, max_size=naxes)))
+    scale = tuple(draw(st.lists(sizes, min_size=naxes, max_size=naxes)))
+    grid = ActionGrid(dims, cell)
+    metric = Metric(draw(st.sampled_from(kinds)), scale)
+    units = metric.axis_units(grid)
+    tau = draw(st.floats(0.05, 4.0) | st.builds(
+        lambda n, ax: n * float(units[ax]), st.integers(1, 6), st.integers(0, naxes - 1)))
+    return grid, metric, tau
 
 
 class TestGreedy:
@@ -115,11 +138,18 @@ class TestUaFast:
             ua_select_fast(p, SelectionConfig(metric=CHEB, tau=1.5, mode="ua_fast"))
 
     def test_uniform_interior_wins(self):
-        grid = ActionGrid((10, 10))
-        p = ProbField(grid, np.full(100, 0.01))
-        res = ua_select_fast(p, SelectionConfig(metric=CHEB, tau=1.5, mode="ua_fast"))
-        assert coords_of(grid, res.action) == (1, 1)
-        assert res.aggregated_score == pytest.approx(0.09, abs=1e-9)
+        # tau = 3 * 0.1 equals the offset-3 distance exactly, so the strict
+        # ball on the 0.1 grid reaches only 2 cells
+        for grid, tau, cell, score in [(ActionGrid((10, 10)), 1.5, (1, 1), 0.09),
+                                       (ActionGrid((4,), (0.1,)), 3 * 0.1, (1,), 1.0)]:
+            p = ProbField(grid, np.full(grid.size, 1.0 / grid.size))
+            cfg = SelectionConfig(metric=CHEB, tau=tau, mode="ua_fast")
+            res = ua_select_fast(p, cfg)
+            assert coords_of(grid, res.action) == cell
+            assert res.action == ua_select(p, cfg).action
+            assert res.aggregated_score == pytest.approx(score, abs=1e-9)
+            want = oracle_neighborhood_sums(grid, p.values, CHEB, tau)
+            assert res.action == int(np.argmax(want))
 
     def test_oracle_equivalence_random(self, rng):
         for _ in range(60):
@@ -148,10 +178,16 @@ class TestUaFast:
 
 class TestUaRestricted:
     def test_degenerates_to_full_search(self, rng):
+        cases = []
         for _ in range(30):
-            grid = random_grid(rng, max_side=8)
-            p = random_prob_field(rng, grid)
-            tau = float(rng.uniform(0.5, 3.0))
+            p = random_prob_field(rng, random_grid(rng, max_side=8))
+            cases.append((p, float(rng.uniform(0.5, 3.0))))
+        # |3 * 0.3 - 1 * 0.3| rounds below 0.6, yet cells two apart lie at
+        # 2 * 0.3 == 0.6 and stay outside: exact and oracle pick 2 (0.9)
+        cases.append((ProbField(ActionGrid((4,), (0.3,)),
+                                np.array([0.1, 0.2, 0.3, 0.4])), 0.6))
+        for p, tau in cases:
+            grid = p.grid
             full = ua_select(p, SelectionConfig(metric=EUCL, tau=tau))
             restricted = ua_select_restricted(p, SelectionConfig(
                 metric=EUCL, tau=tau, alpha=0.0, k=grid.size,
@@ -161,11 +197,16 @@ class TestUaRestricted:
                 full.aggregated_score, abs=1e-12)
 
     def test_hand_enumerated_1d(self):
-        p = prob([0.30, 0.0, 0.0, 0.24, 0.23, 0.23, 0.0])
-        res = ua_select_restricted(p, SelectionConfig(
-            metric=EUCL, tau=1.5, alpha=0.1, k=7, window=7, mode="ua_restricted"))
-        assert res.action == 4
-        assert res.aggregated_score == pytest.approx(0.70)
+        # second case: retained {0, 4, 5, 6} centre on 4, window {3, 4, 5};
+        # cell 5 still counts cell 6 outside the window
+        for values, alpha, window, action, score in [
+                ([0.30, 0.0, 0.0, 0.24, 0.23, 0.23, 0.0], 0.1, 7, 4, 0.70),
+                ([0.2, 0.0, 0.0, 0.0, 0.1, 0.3, 0.4, 0.0, 0.0], 0.0, 3, 5, 0.8)]:
+            res = ua_select_restricted(prob(values), SelectionConfig(
+                metric=EUCL, tau=1.5, alpha=alpha, k=len(values), window=window,
+                mode="ua_restricted"))
+            assert res.action == action
+            assert res.aggregated_score == pytest.approx(score)
 
     def test_k1_with_tight_tau_equals_greedy(self, rng):
         for _ in range(20):
@@ -311,3 +352,38 @@ class TestProperties:
             p = apply_temperature(f, T)
             want = oracle_neighborhood_sums(grid, p.values, EUCL, 1.5)
             assert int(np.argmax(want)) == expected
+
+
+class TestKernelProperties:
+    @given(scaled_setups(max_axes=4, max_side=5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_restricted_full_window_is_exact(self, setup, seed):
+        grid, metric, tau = setup
+        p = random_prob_field(np.random.default_rng(seed), grid)
+        full = ua_select(p, SelectionConfig(metric=metric, tau=tau))
+        restricted = ua_select_restricted(p, SelectionConfig(
+            metric=metric, tau=tau, alpha=0.0, k=grid.size,
+            window=2 * max(grid.dims), mode="ua_restricted"))
+        assert restricted.action == full.action
+        assert restricted.aggregated_score == full.aggregated_score
+
+    @given(scaled_setups(max_axes=3, max_side=9, kinds=["chebyshev"]))
+    @settings(max_examples=80, deadline=None)
+    def test_fast_uniform_field_lowest_index(self, setup):
+        grid, metric, tau = setup
+        p = ProbField(grid, np.full(grid.size, 1.0 / grid.size))
+        cfg = SelectionConfig(metric=metric, tau=tau)
+        assert ua_select_fast(p, cfg).action == ua_select(p, cfg).action
+
+    @given(scaled_setups(max_axes=3, max_side=5, kinds=["chebyshev"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fast_random_field_matches_oracle(self, setup, seed):
+        # mirrored fields tie in real arithmetic and may round apart in either
+        # kernel, so compare scores with the oracle rather than actions
+        grid, metric, tau = setup
+        p = random_prob_field(np.random.default_rng(seed), grid)
+        res = ua_select_fast(p, SelectionConfig(metric=metric, tau=tau))
+        want = oracle_neighborhood_sums(grid, p.values, metric, tau)
+        assert abs(res.aggregated_score - want[res.action]) <= 1e-12
+        assert want.max() - want[res.action] <= 1e-12
