@@ -2,9 +2,10 @@
 
 A scalar temperature T divides the logits before softmax. T is fitted by
 minimizing mean negative log-likelihood of the expert actions on a
-calibration set, via golden-section search on log T. Diagnostics cover
-expected calibration error (ECE), reliability binning, and entropy.
-All arithmetic is float64 regardless of storage precision.
+calibration set, via golden-section search on log T. The NLL is an exact
+log-softmax computed in bounded row blocks. Diagnostics cover expected
+calibration error (ECE), reliability binning, and entropy. All arithmetic
+is float64 regardless of storage precision.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import ParameterError, ValidationError
 T_MIN = 1e-2
 T_MAX = 1e2
 LOG_T_TOL = 1e-5
-PROB_FLOOR = 1e-300
 DEFAULT_BINS = 15
+_BLOCK_BYTES = 1 << 20  # float64 bytes per row block of logits
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -108,11 +109,9 @@ class ReliabilityTable:
         n = int(self.counts.sum())
         if n == 0:
             return 0.0
-        total = 0.0
-        for c, conf, acc in zip(self.counts, self.mean_confidence, self.accuracy):
-            if c > 0:
-                total += (c / n) * abs(acc - conf)
-        return total
+        filled = self.counts > 0
+        gaps = np.abs(self.accuracy[filled] - self.mean_confidence[filled])
+        return float(np.sum(self.counts[filled] / n * gaps))
 
 
 def _softmax64(values: np.ndarray) -> np.ndarray:
@@ -126,29 +125,44 @@ def softmax(f: LogitField) -> ProbField:
     return ProbField(f.grid, _softmax64(f.values))
 
 
+def _checked_temperature(T) -> float:
+    T = float(T)
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"temperature must be positive and finite, got {T}")
+    return T
+
+
 def apply_temperature(f: LogitField, T: float) -> ProbField:
     """Softmax of logits divided by temperature T > 0; T=1 is plain softmax."""
-    if not T > 0:
-        raise ParameterError(f"temperature must be positive, got {T}")
-    return ProbField(f.grid, _softmax64(f.values / float(T)))
+    return ProbField(f.grid, _softmax64(f.values / _checked_temperature(T)))
 
 
-def _expert_log_prob(sample: CalibrationSample, T: float) -> float:
-    p = _softmax64(sample.logits.values / T)
-    return math.log(max(float(p[sample.expert]), PROB_FLOOR))
+def _log_softmax_blocks(data, T: float):
+    """Yield (log-softmax of logits / T, expert indices) over row blocks of data.
+
+    Each row is z - logsumexp(z) with z = logits / T, exact at any T. A block
+    holds at most _BLOCK_BYTES of float64 (or one row, if a row is larger),
+    so memory does not grow with n. All samples must share one |A|.
+    """
+    data = list(data)
+    if not data:
+        raise ParameterError("calibration requires a nonempty dataset")
+    T = _checked_temperature(T)
+    rows = max(1, _BLOCK_BYTES // (8 * data[0].logits.grid.size))
+    for start in range(0, len(data), rows):
+        block = data[start:start + rows]
+        z = np.stack([s.logits.values for s in block])
+        z /= T
+        z -= z.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+        yield z, np.array([s.expert for s in block])
 
 
 def nll(data, T: float) -> float:
     """Mean negative log-likelihood of expert actions at temperature T."""
-    data = list(data)
-    if not data:
-        raise ParameterError("nll requires a nonempty dataset")
-    if not T > 0:
-        raise ParameterError(f"temperature must be positive, got {T}")
-    total = 0.0
-    for s in data:
-        total -= _expert_log_prob(s, float(T))
-    return total / len(data)
+    picked = [np.take_along_axis(logp, experts[:, None], axis=1)
+              for logp, experts in _log_softmax_blocks(data, T)]
+    return -float(np.concatenate(picked).mean())
 
 
 def fit_temperature(data) -> TemperatureModel:
@@ -159,8 +173,6 @@ def fit_temperature(data) -> TemperatureModel:
     fit returns T=1 with the degenerate flag set.
     """
     data = list(data)
-    if not data:
-        raise ParameterError("fit_temperature requires a nonempty dataset")
     if all(float(np.ptp(s.logits.values)) == 0.0 for s in data):
         return TemperatureModel(1.0, nll(data, 1.0), 0, degenerate=True)
 
@@ -187,35 +199,18 @@ def fit_temperature(data) -> TemperatureModel:
     return TemperatureModel(t_hat, nll(data, t_hat), iterations)
 
 
-def _confidence_correct(data, T: float):
-    """Per-sample (confidence, correct) arrays; prediction = lowest argmax."""
-    conf = np.empty(len(data))
-    correct = np.empty(len(data))
-    for i, s in enumerate(data):
-        p = _softmax64(s.logits.values / T)
-        pred = int(np.argmax(p))
-        conf[i] = p[pred]
-        correct[i] = 1.0 if pred == s.expert else 0.0
-    return conf, correct
-
-
-def _bin_of(conf: np.ndarray, n_bins: int) -> np.ndarray:
-    # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
-    b = np.floor(conf * n_bins).astype(np.int64)
-    return np.clip(b, 0, n_bins - 1)
-
-
 def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
     """Equal-width confidence binning: count, mean confidence, accuracy per bin."""
-    data = list(data)
-    if not data:
-        raise ParameterError("reliability_bins requires a nonempty dataset")
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
-    if not T > 0:
-        raise ParameterError(f"temperature must be positive, got {T}")
-    conf, correct = _confidence_correct(data, float(T))
-    bins = _bin_of(conf, n_bins)
+    confs, hits = [], []
+    for logp, experts in _log_softmax_blocks(data, T):
+        confs.append(np.exp(logp.max(axis=1)))
+        hits.append(logp.argmax(axis=1) == experts)  # lowest index among ties
+    conf = np.concatenate(confs)
+    correct = np.concatenate(hits)
+    # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
+    bins = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins)
     conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
     hit_sum = np.bincount(bins, weights=correct, minlength=n_bins)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uacal import calibration
 from uacal.action_space import ActionGrid
 from uacal.calibration import (
     CalibrationSample,
@@ -87,10 +88,9 @@ class TestApplyTemperature:
 
     def test_nonpositive_rejected(self):
         f = field([1.0, 2.0])
-        with pytest.raises(ParameterError):
-            apply_temperature(f, 0.0)
-        with pytest.raises(ParameterError):
-            apply_temperature(f, -2.0)
+        for T in (0.0, -2.0, math.inf):
+            with pytest.raises(ParameterError):
+                apply_temperature(f, T)
 
     def test_argmax_preserved(self, rng):
         # monotone transform: maximizer set invariant under any T > 0
@@ -112,14 +112,33 @@ class TestNll:
             assert nll([sample([1.0] * 4, 2)], T) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_naive_summation(self, rng):
-        samples = [sample(rng.normal(0, 2, size=8), int(rng.integers(0, 8)))
-                   for _ in range(100)]
-        T = 1.7
-        acc = 0.0
-        for s in samples:
-            z = np.exp((s.logits.values / T) - np.max(s.logits.values / T))
-            acc += -math.log(z[s.expert] / z.sum())
-        assert nll(samples, T) == pytest.approx(acc / 100, abs=1e-12)
+        # the second input holds two rows per block: four blocks, last ragged
+        for n, size in ((100, 8), (7, calibration._BLOCK_BYTES // 16)):
+            samples = [sample(rng.normal(0, 2, size=size), int(rng.integers(0, size)))
+                       for _ in range(n)]
+            T = 1.7
+            acc = 0.0
+            for s in samples:
+                z = np.exp((s.logits.values / T) - np.max(s.logits.values / T))
+                acc += -math.log(z[s.expert] / z.sum())
+            assert nll(samples, T) == pytest.approx(acc / n, abs=1e-12)
+
+    def test_exact_when_confident_wrong(self, rng):
+        # scale-50 logits, every tenth expert on the argmin cell: at small T
+        # those experts' probabilities underflow, so only log-softmax is exact
+        samples = []
+        for i in range(200):
+            z = rng.normal(0, 1, size=64) * 50
+            samples.append(sample(z, int(np.argmin(z) if i % 10 == 0 else np.argmax(z))))
+        for T in (0.01, 0.1, 1.0):
+            terms = []
+            for s in samples:
+                z = s.logits.values / T
+                m = max(z)
+                lse = m + math.log(math.fsum(math.exp(v - m) for v in z))
+                terms.append(lse - z[s.expert])
+            want = math.fsum(terms) / len(samples)
+            assert nll(samples, T) == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -199,15 +218,26 @@ class TestEce:
         for _ in range(1000):
             logits = rng.normal(0, 2, size=6)
             data.append(sample(logits, int(rng.integers(0, 6))))
-        got = ece(data, 1.3, 15)
-        confs, hits = [], []
-        for s in data:
-            z = np.exp(s.logits.values / 1.3 - np.max(s.logits.values / 1.3))
-            p = z / z.sum()
-            pred = int(np.argmax(p))
-            confs.append(float(p[pred]))
-            hits.append(1.0 if pred == s.expert else 0.0)
-        assert got == pytest.approx(oracle_ece(confs, hits, 15), abs=1e-12)
+        # two rows per block, five blocks with the last ragged; a spike of
+        # random height spreads the confidences over the bins
+        size = calibration._BLOCK_BYTES // 16
+        blocked = []
+        for _ in range(9):
+            logits = rng.normal(0, 2, size=size)
+            spike = int(rng.integers(0, size))
+            logits[spike] += rng.uniform(8.0, 20.0)
+            expert = spike if rng.random() < 0.5 else int(rng.integers(0, size))
+            blocked.append(sample(logits, expert))
+        for samples in (data, blocked):
+            got = ece(samples, 1.3, 15)
+            confs, hits = [], []
+            for s in samples:
+                z = np.exp(s.logits.values / 1.3 - np.max(s.logits.values / 1.3))
+                p = z / z.sum()
+                pred = int(np.argmax(p))
+                confs.append(float(p[pred]))
+                hits.append(1.0 if pred == s.expert else 0.0)
+            assert got == pytest.approx(oracle_ece(confs, hits, 15), abs=1e-12)
 
     def test_bounds(self, rng):
         for _ in range(30):

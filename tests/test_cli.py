@@ -184,6 +184,15 @@ class TestSelect:
                       "--mode", "greedy")
         assert code == 3
 
+    def test_infinite_temperature_exit_3(self, dataset, tmp_path, capsys):
+        path, _ = dataset
+        code, _ = run(capsys, "report", "--dataset", path, "--temperature", "inf",
+                      "--out", tmp_path / "r.csv")
+        assert code == 3
+        code, _ = run(capsys, "select", "--dataset", path, "--index", "0",
+                      "--mode", "greedy", "--temperature", "inf")
+        assert code == 3
+
     def test_temperature_from_file(self, dataset, tmp_path, capsys):
         path, samples = dataset
         temp_file = tmp_path / "t.txt"

@@ -1,7 +1,12 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uacal.action_space import ActionGrid
 from uacal.calibration import CalibrationSample, LogitField, TemperatureModel
@@ -23,6 +28,27 @@ def random_samples(rng, grid, n, tasks=1):
                               int(rng.integers(0, grid.size)),
                               int(rng.integers(0, tasks)))
             for _ in range(n)]
+
+
+@st.composite
+def f32_datasets(draw, min_samples=0):
+    """(grid, samples) on a 1-4 axis grid with f32-representable logits."""
+    naxes = draw(st.integers(1, 4))
+    grid = ActionGrid(tuple(draw(st.lists(st.integers(1, 3), min_size=naxes,
+                                          max_size=naxes))))
+    logits = arrays(np.float64, grid.size,
+                    elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+    samples = [CalibrationSample(LogitField(grid, draw(logits)),
+                                 draw(st.integers(0, grid.size - 1)),
+                                 draw(st.integers(0, 2**32 - 1)))
+               for _ in range(draw(st.integers(min_samples, 6)))]
+    return grid, samples
+
+
+def written(grid, samples, tmp: str) -> Path:
+    path = Path(tmp) / "d.uacl"
+    write_dataset(path, samples, grid=grid)
+    return path
 
 
 class TestChecksum:
@@ -140,6 +166,54 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="record 2"):
             read_dataset(path)
+
+
+class TestFormatProperties:
+    @given(f32_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_byte_identical(self, dataset):
+        grid, samples = dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            path = written(grid, samples, tmp)
+            raw = path.read_bytes()
+            back = read_dataset(path)
+            write_dataset(path, back, grid=grid)
+            assert path.read_bytes() == raw
+        assert [(b.expert, b.task_id) for b in back] == \
+            [(s.expert, s.task_id) for s in samples]
+        for b, s in zip(back, samples):
+            assert np.array_equal(b.logits.values, s.logits.values)
+
+    @given(f32_datasets(min_samples=1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_record_names_its_ordinal(self, dataset, data):
+        grid, samples = dataset
+        k = data.draw(st.integers(0, len(samples) - 1))
+        start = expected_length(grid, k)  # record k starts where k records end
+        with tempfile.TemporaryDirectory() as tmp:
+            path = written(grid, samples, tmp)
+            raw = bytearray(path.read_bytes())
+            if data.draw(st.booleans()):
+                expert = data.draw(st.integers(grid.size, 2**64 - 1))
+                raw[start + 4:start + 12] = struct.pack("<Q", expert)
+            else:
+                at = start + 12 + 4 * data.draw(st.integers(0, grid.size - 1))
+                bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+                raw[at:at + 4] = struct.pack("<f", bad)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match=rf"record {k}:"):
+                read_dataset(path)
+
+    @given(f32_datasets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_proper_truncation_rejected(self, dataset, data):
+        grid, samples = dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            path = written(grid, samples, tmp)
+            raw = path.read_bytes()
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+            with pytest.raises(FormatError):
+                read_dataset(path)
 
 
 class TestTemperatureFile:
