@@ -4,13 +4,13 @@ success-rate table for greedy vs neighborhood-aggregation selection.
 Optionally dump one episode's heatmap as PGM for inspection."""
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 from uacal.action_space import Metric
 from uacal.selection import SelectionConfig
 from uacal.simbench import (
     PRESETS,
-    SynthModelConfig,
     evaluate,
     make_world,
     splitmix64,
@@ -36,10 +36,7 @@ def main():
 
     print(f"{'spike':>6} {'greedy':>8} {'ua':>8} {'greedy_hits':>12} {'ua_hits':>8}")
     for spike in (float(s) for s in args.spikes.split(",")):
-        model = SynthModelConfig(gain=base_model.gain, spike_logit=spike,
-                                 spike_count=base_model.spike_count,
-                                 noise_std=base_model.noise_std,
-                                 blob_sigma=base_model.blob_sigma)
+        model = dataclasses.replace(base_model, spike_logit=spike)
         greedy, ua = evaluate(args.episodes, args.seed, task, model, cfgs)
         print(f"{spike:>6.2f} {greedy.success_rate:>8.4f} {ua.success_rate:>8.4f} "
               f"{greedy.distractor_hits:>12} {ua.distractor_hits:>8}")

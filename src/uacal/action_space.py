@@ -131,8 +131,8 @@ def ball_offsets(grid: ActionGrid, m: Metric, tau: float) -> np.ndarray:
     reach is capped at dims - 1, since a longer offset never lands on the
     grid. Shape (n_offsets, ndim); empty when tau <= 0.
     """
-    if tau < 0:
-        raise ParameterError("tau must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and nonnegative, got {tau}")
     units = m.axis_units(grid)
     if tau == 0:
         return np.empty((0, grid.ndim), dtype=np.int64)

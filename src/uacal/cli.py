@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 dataset format error, 3 parameter error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -113,11 +114,10 @@ def cmd_bench(args) -> int:
     task, model = simbench.PRESETS[args.preset]
     cfgs = []
     for name in args.modes.split(","):
-        mode = _MODE_NAMES[name.strip()]
-        metric = Metric("chebyshev") if mode == "ua_fast" else Metric(args.metric)
-        cfgs.append(selection.SelectionConfig(
-            metric=metric, tau=args.tau, alpha=args.alpha, k=args.k,
-            window=args.window, sigma=args.sigma, mode=mode))
+        cfg = _selection_config(args, _MODE_NAMES[name.strip()])
+        if cfg.mode == "ua_fast":
+            cfg = dataclasses.replace(cfg, metric=Metric("chebyshev"))
+        cfgs.append(cfg)
     reports = simbench.evaluate(args.episodes, args.seed, task, model, cfgs,
                                 T=args.temperature_value)
     simbench.write_report_csv(args.out, reports)

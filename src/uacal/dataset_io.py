@@ -15,6 +15,7 @@ stored f32 and computed on as f64 downstream.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 
@@ -27,16 +28,10 @@ from .errors import FormatError, ValidationError
 MAGIC = b"UACL"
 VERSION = 1
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
-
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+def _digest(data: bytes) -> str:
+    """16-hex-digit BLAKE2b-64 of a whole UACL file."""
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def dataset_bytes(grid: ActionGrid, samples) -> bytes:
@@ -44,14 +39,18 @@ def dataset_bytes(grid: ActionGrid, samples) -> bytes:
     parts.append(struct.pack(f"<{grid.ndim}I", *grid.dims))
     parts.append(struct.pack("<Q", len(samples)))
     for s in samples:
+        if not 0 <= s.task_id < 2**32:
+            raise ValidationError(f"task id {s.task_id} out of range [0, 2**32)")
         parts.append(struct.pack("<IQ", s.task_id, s.expert))
         parts.append(s.logits.values.astype("<f4").tobytes())
     return b"".join(parts)
 
 
 def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
-    """Serialize samples (all on one grid) to UACL; returns FNV-1a hex checksum.
+    """Serialize samples (all on one grid) to UACL; returns ``dataset_checksum``.
 
+    The checksum is provenance only and is never verified: a temperature is
+    normally applied to a held-out dataset, not the one it was fitted on.
     ``grid`` is required only for an empty sample list.
     """
     samples = list(samples)
@@ -65,12 +64,12 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     data = dataset_bytes(grid, samples)
     with open(path, "wb") as fh:
         fh.write(data)
-    return f"{fnv1a64(data):016x}"
+    return _digest(data)
 
 
 def dataset_checksum(path) -> str:
     with open(path, "rb") as fh:
-        return f"{fnv1a64(fh.read()):016x}"
+        return _digest(fh.read())
 
 
 def _read_exact(fh, n: int, what: str):
@@ -117,15 +116,12 @@ def read_dataset(path) -> list[CalibrationSample]:
         for ordinal in range(n_samples):
             task_id, expert = struct.unpack("<IQ", _read_exact(fh, 12, "record header"))
             raw = _read_exact(fh, rec_logits, "record logits")
-            logits = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            if expert >= grid.size:
-                raise FormatError(
-                    f"record {ordinal}: expert index {expert} out of range "
-                    f"for |A|={grid.size}")
-            if not np.all(np.isfinite(logits)):
-                raise FormatError(f"record {ordinal}: non-finite logit")
-            samples.append(CalibrationSample(LogitField(grid, logits),
-                                             int(expert), int(task_id)))
+            try:
+                sample = CalibrationSample(
+                    LogitField(grid, np.frombuffer(raw, dtype="<f4")), expert, task_id)
+            except ValidationError as exc:
+                raise FormatError(f"record {ordinal}: {exc}") from exc
+            samples.append(sample)
     return samples
 
 

@@ -52,16 +52,17 @@ class SelectionConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.tau < 0:
-            raise ParameterError("tau must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise ParameterError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must lie in [0, 1]")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
         if self.window < 1:
             raise ParameterError("window must be >= 1")
-        if self.mode == "gaussian" and not self.sigma > 0:
-            raise ParameterError("sigma must be positive for gaussian mode")
+        if self.mode == "gaussian" and not 0 < self.sigma < math.inf:
+            raise ParameterError(
+                f"sigma must be finite and positive for gaussian mode, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,8 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Sampled Gaussian truncated at radius ceil(3*sigma), normalized to sum 1."""
-    if not sigma > 0:
-        raise ParameterError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and positive, got {sigma}")
     r = math.ceil(3.0 * sigma)
     x = np.arange(-r, r + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)

@@ -193,6 +193,15 @@ class TestSelect:
                       "--mode", "greedy", "--temperature", "inf")
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [("--mode", "ua", "--tau", "inf"),
+                                       ("--mode", "ua", "--tau", "nan"),
+                                       ("--mode", "gaussian", "--sigma", "inf")])
+    def test_non_finite_tau_or_sigma_exit_3(self, dataset, capsys, flags):
+        path, _ = dataset
+        code = main(["select", "--dataset", str(path), "--index", "0", *flags])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_temperature_from_file(self, dataset, tmp_path, capsys):
         path, samples = dataset
         temp_file = tmp_path / "t.txt"
@@ -226,6 +235,11 @@ class TestBench:
         lines = out.read_text().strip().split("\n")
         assert [l.split(",")[0] for l in lines[1:]] == \
             ["greedy", "ua_exact", "ua_fast", "gaussian"]
+
+    def test_infinite_tau_exit_3(self, tmp_path, capsys):
+        code, _ = run(capsys, "bench", "--episodes", "5", "--tau", "inf",
+                      "--out", tmp_path / "r.csv")
+        assert code == 3
 
 
 class TestPerf:

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -14,7 +15,6 @@ from uacal.dataset_io import (
     count_samples,
     dataset_checksum,
     expected_length,
-    fnv1a64,
     read_dataset,
     read_temperature_file,
     write_dataset,
@@ -52,18 +52,16 @@ def written(grid, samples, tmp: str) -> Path:
 
 
 class TestChecksum:
-    def test_fnv1a_known_vectors(self):
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a64(b"foobar") == 0x85944171F73967E8
-
     def test_empty_dataset_frozen_checksum(self, tmp_path):
         # 21-byte empty file with dims [2]; value pinned at build time
         path = tmp_path / "empty.uacl"
         checksum = write_dataset(path, [], grid=ActionGrid((2,)))
         assert path.stat().st_size == 21
-        assert checksum == "79c74e10a4ccb79e"
+        assert checksum == "0bead40a8ae1f553"
         assert dataset_checksum(path) == checksum
+        header = b"UACL" + struct.pack("<IBIQ", 1, 1, 2, 0)
+        assert len(header) == 21
+        assert checksum == hashlib.blake2b(header, digest_size=8).hexdigest()
 
 
 class TestRoundTrip:
@@ -117,6 +115,13 @@ class TestRoundTrip:
         with pytest.raises(ValidationError):
             write_dataset(tmp_path / "d.uacl", a + b)
 
+    @pytest.mark.parametrize("task_id", [-1, 2**32])
+    def test_task_id_outside_u32_rejected(self, tmp_path, task_id):
+        grid = ActionGrid((2,))
+        sample = CalibrationSample(LogitField(grid, [0.0, 1.0]), 1, task_id)
+        with pytest.raises(ValidationError, match=rf"task id {task_id}\b"):
+            write_dataset(tmp_path / "d.uacl", [sample])
+
 
 class TestCorruption:
     def _write(self, tmp_path, rng, n=3):
@@ -155,7 +160,7 @@ class TestCorruption:
         off = 25 + 28 + 4
         data[off:off + 8] = struct.pack("<Q", 4)
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="record 1"):
+        with pytest.raises(FormatError, match="record 1: .*out of range"):
             read_dataset(path)
 
     def test_non_finite_logit_names_record(self, tmp_path, rng):
@@ -164,7 +169,7 @@ class TestCorruption:
         off = 25 + 2 * 28 + 12  # record 2 logits
         data[off:off + 4] = struct.pack("<f", np.inf)
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="record 2"):
+        with pytest.raises(FormatError, match="record 2: .*finite"):
             read_dataset(path)
 
 
@@ -247,3 +252,5 @@ class TestTemperatureFile:
         write_temperature_file(temp_path, model, checksum)
         _, stored = read_temperature_file(temp_path)
         assert stored == dataset_checksum(data_path)
+        assert stored == hashlib.blake2b(data_path.read_bytes(),
+                                         digest_size=8).hexdigest()

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uacal.action_space import ActionGrid, Metric, coords_of, flat_index
+from uacal.action_space import ActionGrid, Metric, ball_offsets, coords_of, flat_index
 from uacal.calibration import LogitField, ProbField, apply_temperature, softmax
 from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
     SelectionConfig,
     gaussian_blur,
+    gaussian_kernel,
     gaussian_select,
     greedy_select,
     neighborhood_sums,
@@ -310,6 +311,18 @@ class TestDispatch:
     def test_bad_mode_rejected(self):
         with pytest.raises(ParameterError):
             SelectionConfig(mode="conformal")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_tau_and_sigma_rejected(self, bad):
+        grid = ActionGrid((4, 4))
+        with pytest.raises(ParameterError, match="tau"):
+            SelectionConfig(tau=bad)
+        with pytest.raises(ParameterError, match="tau"):
+            ball_offsets(grid, EUCL, bad)
+        with pytest.raises(ParameterError, match="sigma"):
+            SelectionConfig(mode="gaussian", sigma=bad)
+        with pytest.raises(ParameterError, match="sigma"):
+            gaussian_kernel(bad)
 
 
 class TestProperties:
