@@ -123,6 +123,25 @@ def distance(grid: ActionGrid, m: Metric, a: int, b: int) -> float:
     return _delta_distance(ca - cb, m.axis_units(grid), m.kind)
 
 
+def ball_reach(grid: ActionGrid, m: Metric, tau: float) -> list[int]:
+    """Per-axis reach of ``ball_offsets(grid, m, tau)`` without building it.
+
+    Every metric measures k steps along one axis as k * unit, and no offset
+    reaches further along an axis than that one, so the reach is the largest
+    k <= min(dims - 1, ceil(tau / unit) - 1) with k * unit < tau (0 when
+    tau == 0).
+    """
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and nonnegative, got {tau}")
+    reach = []
+    for u, n in zip(m.axis_units(grid), grid.dims):
+        k = min(n - 1, max(0, math.ceil(tau / u) - 1))
+        while k > 0 and k * u >= tau:
+            k -= 1
+        reach.append(k)
+    return reach
+
+
 def ball_offsets(grid: ActionGrid, m: Metric, tau: float) -> np.ndarray:
     """Integer coordinate offsets with metric length strictly below tau.
 
@@ -131,14 +150,10 @@ def ball_offsets(grid: ActionGrid, m: Metric, tau: float) -> np.ndarray:
     reach is capped at dims - 1, since a longer offset never lands on the
     grid. Shape (n_offsets, ndim); empty when tau <= 0.
     """
-    if not 0 <= tau < math.inf:
-        raise ParameterError(f"tau must be finite and nonnegative, got {tau}")
-    units = m.axis_units(grid)
+    reach = ball_reach(grid, m, tau)
     if tau == 0:
         return np.empty((0, grid.ndim), dtype=np.int64)
-    # per-axis reach: largest k with k*unit < tau, within the grid
-    reach = [min(n - 1, max(0, math.ceil(tau / u) - 1))
-             for u, n in zip(units, grid.dims)]
+    units = m.axis_units(grid)
     axes = [np.arange(-r, r + 1, dtype=np.int64) for r in reach]
     mesh = np.meshgrid(*axes, indexing="ij")
     offs = np.stack([g.ravel() for g in mesh], axis=-1)

@@ -1,4 +1,4 @@
-"""Command-line surface: calibrate, report, select, bench, perf.
+"""Command-line surface: calibrate, report, select, bench.
 
 Exit codes: 0 success, 2 dataset format error, 3 parameter error,
 4 degenerate fit under --strict.
@@ -9,12 +9,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
-
-import numpy as np
 
 from . import calibration, dataset_io, selection, simbench
-from .action_space import ActionGrid, Metric, coords_of
+from .action_space import Metric, coords_of
 from .errors import FormatError, UacalError
 
 EXIT_OK = 0
@@ -113,8 +110,11 @@ def cmd_select(args) -> int:
 def cmd_bench(args) -> int:
     task, model = simbench.PRESETS[args.preset]
     cfgs = []
-    for name in args.modes.split(","):
-        cfg = _selection_config(args, _MODE_NAMES[name.strip()])
+    for name in (n.strip() for n in args.modes.split(",")):
+        if name not in _MODE_NAMES:
+            raise UacalError(f"unknown mode {name!r}; "
+                             f"choose from {', '.join(sorted(_MODE_NAMES))}")
+        cfg = _selection_config(args, _MODE_NAMES[name])
         if cfg.mode == "ua_fast":
             cfg = dataclasses.replace(cfg, metric=Metric("chebyshev"))
         cfgs.append(cfg)
@@ -124,35 +124,6 @@ def cmd_bench(args) -> int:
     for r in reports:
         print(f"{r.mode} success_rate {r.success_rate:.4f} "
               f"stderr {r.stderr:.4f} distractor_hits {r.distractor_hits}")
-    return EXIT_OK
-
-
-def cmd_perf(args) -> int:
-    dims = tuple(int(x) for x in args.grid.split(","))
-    grid = ActionGrid(dims)
-    rng = np.random.default_rng(0)
-    values = rng.random(grid.size)
-    values /= values.sum()
-    p = calibration.ProbField(grid, values)
-    cheb = Metric("chebyshev")
-    exact_cfg = selection.SelectionConfig(metric=cheb, tau=args.tau, mode="ua_exact")
-    fast_cfg = selection.SelectionConfig(metric=cheb, tau=args.tau, mode="ua_fast")
-
-    def best_time(fn):
-        best = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    t_exact, r_exact = best_time(lambda: selection.ua_select(p, exact_cfg))
-    t_fast, r_fast = best_time(lambda: selection.ua_select_fast(p, fast_cfg))
-    agree = r_exact.action == r_fast.action
-    print(f"grid {args.grid} tau {args.tau:g}")
-    print(f"ua_exact {t_exact * 1e3:.2f} ms")
-    print(f"ua_fast {t_fast * 1e3:.2f} ms")
-    print(f"speedup {t_exact / t_fast:.1f}x agree {str(agree).lower()}")
     return EXIT_OK
 
 
@@ -203,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_selection_flags(p, tau_default=2.5)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("perf", help="time ua vs ua-fast on one grid")
-    p.add_argument("--grid", required=True, help="comma-separated dims, e.g. 100,100,100")
-    p.add_argument("--tau", type=float, default=4.5)
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(func=cmd_perf)
 
     return ap
 

@@ -16,10 +16,12 @@ Five modes:
 * ``gaussian``     - separable truncated-Gaussian blur of the field
                      (1-2 axes), then argmax.
 
-Two kernels compute every aggregate: the stencil shift-add
-(``ua_exact``, ``ua_restricted``) and a separable per-axis tap kernel
-(``ua_fast``, ``gaussian``). Every mode breaks ties by lowest flat index
-and is bit-deterministic.
+Two kernels compute every aggregate: the stencil (``ua_exact``,
+``ua_restricted``) and a separable per-axis tap kernel (``ua_fast``,
+``gaussian``). Both shift-add over a zero-padded, flattened field, where
+an out-of-range term reads a padding zero; adding +0.0 is exact, so each
+cell gets the clipped sums' terms in their order. Every mode breaks ties
+by lowest flat index and is bit-deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action_space import ActionGrid, Metric, ball_offsets
+from .action_space import ActionGrid, Metric, ball_offsets, ball_reach
 from .calibration import ProbField
 from .errors import ParameterError, UnsupportedConfigError
 
@@ -37,6 +39,7 @@ MODES = ("greedy", "ua_exact", "ua_fast", "ua_restricted", "gaussian")
 
 DEFAULT_K = 4000          # top-k cap on retained actions in restricted search
 DEFAULT_WINDOW = 16       # restricted-search window edge length, cells
+_CHUNK = 1 << 14          # output cells per shift-add pass (128 KiB of float64)
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,9 @@ def _result_from_scores(scores: np.ndarray, actions: np.ndarray | None = None,
     pos = int(np.argmax(scores))
     best = float(scores[pos])
     if scores.size > 1:
-        top2 = np.partition(scores, -2)[-2:]
-        gap = float(top2[1] - top2[0])
+        second = max(scores[:pos].max(initial=-np.inf),
+                     scores[pos + 1:].max(initial=-np.inf))
+        gap = best - float(second)
     else:
         gap = 0.0
     action = pos if actions is None else int(actions[pos])
@@ -93,27 +97,49 @@ def greedy_select(p: ProbField) -> SelectionResult:
     return _result_from_scores(p.values)
 
 
-def _shifted_sums(field: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """sums[x] = sum of field[x + off] over in-bounds offsets."""
-    out = np.zeros_like(field)
-    shape = field.shape
-    for off in offsets:
-        src, dst = [], []
-        empty = False
-        for o, n in zip(off, shape):
-            o = int(o)
-            if abs(o) >= n:
-                empty = True
-                break
-            if o >= 0:
-                src.append(slice(o, n))
-                dst.append(slice(0, n - o))
-            else:
-                src.append(slice(0, n + o))
-                dst.append(slice(-o, n))
-        if not empty:
-            out[tuple(dst)] += field[tuple(src)]
-    return out
+def _shift_add(src: np.ndarray, out: np.ndarray, start: int, stop: int,
+               shifts, weights) -> None:
+    """out[c - start] = sum of weights[k] * src[c + shifts[k]] for c in [start, stop).
+
+    ``src`` must be zero outside [start, stop). One cache-sized chunk of
+    cells at a time, terms in ``k`` order, each read one contiguous slice;
+    reads wholly in the zeros and unit-weight multiplies are skipped, both
+    exactly. A chunk is stored after its reads and later chunks read above
+    it, so ``out`` may be ``src`` when every shift is >= -start.
+    """
+    acc_buf, tmp = np.empty((2, min(_CHUNK, stop - start)))
+    for a in range(start, stop, _CHUNK):
+        b = min(a + _CHUNK, stop)
+        acc, t = acc_buf[:b - a], tmp[:b - a]
+        acc.fill(0.0)  # so a lone -0.0 term sums to +0.0, as in a zeroed loop
+        for s, w in zip(shifts, weights):
+            if a + s < stop and b + s > start:
+                term = src[a + s:b + s]
+                acc += term if w == 1.0 else np.multiply(term, w, out=t)
+        out[a - start:b - start] = acc
+
+
+def _shifted_sums(field: np.ndarray, offsets: np.ndarray, weights=None) -> np.ndarray:
+    """sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds x + offsets[k].
+
+    Each axis is zero-padded on its high side only, by the offsets' reach:
+    a low-side overrun wraps into the previous row's padding, or into the
+    ``lead`` zeros in front. The sums overwrite the buffer, shifted down.
+    """
+    shape = np.array(field.shape)
+    keep = (np.abs(offsets) < shape).all(axis=1)
+    offsets = offsets[keep]
+    weights = np.ones(len(offsets)) if weights is None else np.asarray(weights)[keep]
+    reach = np.abs(offsets).max(axis=0, initial=0)
+    padded = tuple(shape + reach)
+    strides = np.cumprod((padded[1:] + (1,))[::-1])[::-1]
+    lead = int(reach @ strides)
+    interior = tuple(slice(0, n) for n in field.shape)
+    buf = np.zeros(lead + math.prod(padded))
+    buf[lead:].reshape(padded)[interior] = field
+    _shift_add(buf, buf, lead, lead + int((shape - 1) @ strides) + 1,
+               (offsets @ strides).tolist(), weights.tolist())
+    return buf[:math.prod(padded)].reshape(padded)[interior]
 
 
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
@@ -139,19 +165,13 @@ def _separable_sums(field: np.ndarray, taps) -> np.ndarray:
 
     Along each axis in turn, out[x] = sum of taps[o + r] * field[x + o] over
     in-bounds o, added in ascending o, so cells whose clipped windows hold
-    equal values get bit-identical sums.
+    equal values get bit-identical sums. Only the summed axis is padded.
     """
     for ax, w in enumerate(taps):
         r = len(w) // 2
-        n = field.shape[ax]
-        out = np.zeros_like(field)
-        for o in range(max(-r, 1 - n), min(r, n - 1) + 1):
-            src = [slice(None)] * field.ndim
-            dst = list(src)
-            src[ax] = slice(max(o, 0), n + min(o, 0))
-            dst[ax] = slice(max(-o, 0), n - max(o, 0))
-            out[tuple(dst)] += w[o + r] * field[tuple(src)]
-        field = out
+        offsets = np.zeros((len(w), field.ndim), dtype=np.int64)
+        offsets[:, ax] = np.arange(-r, r + 1)
+        field = _shifted_sums(field, offsets, w)
     return field
 
 
@@ -169,7 +189,7 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if cfg.tau == 0.0:
         return SelectionResult(0, 0.0, 0.0, p.grid.size,
                                ("degenerate_neighborhood",))
-    reach = np.abs(ball_offsets(p.grid, cfg.metric, cfg.tau)).max(axis=0)
+    reach = ball_reach(p.grid, cfg.metric, cfg.tau)
     field = np.asarray(p.values, dtype=np.float64).reshape(p.grid.dims)
     sums = _separable_sums(field, [np.ones(2 * h + 1) for h in reach])
     return _result_from_scores(sums.ravel())

@@ -241,10 +241,10 @@ class TestBench:
                       "--out", tmp_path / "r.csv")
         assert code == 3
 
-
-class TestPerf:
-    def test_small_grid_smoke(self, capsys):
-        code, out = run(capsys, "perf", "--grid", "24,24,24", "--tau", "2.5",
-                        "--repeat", "1")
-        assert code == 0
-        assert "agree true" in out
+    def test_unknown_mode_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--episodes", "5", "--modes", "greedy,foo", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "'foo'" in err and "gaussian, greedy, ua, ua-fast, ua-restricted" in err
+        assert not out.exists()

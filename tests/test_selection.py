@@ -1,13 +1,25 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uacal.action_space import ActionGrid, Metric, ball_offsets, coords_of, flat_index
+from uacal.action_space import (
+    ActionGrid,
+    Metric,
+    ball_offsets,
+    ball_reach,
+    coords_of,
+    flat_index,
+)
 from uacal.calibration import LogitField, ProbField, apply_temperature, softmax
 from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
     SelectionConfig,
+    _separable_sums,
+    _shifted_sums,
     gaussian_blur,
     gaussian_kernel,
     gaussian_select,
@@ -39,6 +51,59 @@ def random_grid(rng, max_side=12, max_axes=3):
     naxes = int(rng.integers(1, max_axes + 1))
     dims = tuple(int(d) for d in rng.integers(2, max_side + 1, size=naxes))
     return ActionGrid(dims)
+
+
+def reference_shifted_sums(field, offsets):
+    """Per-offset clipped-slice stencil: one strided add per in-bounds offset."""
+    out = np.zeros_like(field)
+    shape = field.shape
+    for off in offsets:
+        src, dst = [], []
+        empty = False
+        for o, n in zip(off, shape):
+            o = int(o)
+            if abs(o) >= n:
+                empty = True
+                break
+            if o >= 0:
+                src.append(slice(o, n))
+                dst.append(slice(0, n - o))
+            else:
+                src.append(slice(0, n + o))
+                dst.append(slice(-o, n))
+        if not empty:
+            out[tuple(dst)] += field[tuple(src)]
+    return out
+
+
+def reference_separable_sums(field, taps):
+    """Per-axis clipped-slice shift-add, offsets ascending."""
+    for ax, w in enumerate(taps):
+        r = len(w) // 2
+        n = field.shape[ax]
+        out = np.zeros_like(field)
+        for o in range(max(-r, 1 - n), min(r, n - 1) + 1):
+            src = [slice(None)] * field.ndim
+            dst = list(src)
+            src[ax] = slice(max(o, 0), n + min(o, 0))
+            dst[ax] = slice(max(-o, 0), n - max(o, 0))
+            out[tuple(dst)] += w[o + r] * field[tuple(src)]
+        field = out
+    return field
+
+
+@st.composite
+def kernel_fields(draw):
+    """A 1-4 axis field (dims 1-9) that is random, flat, or quantised to ties."""
+    dims = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    assume(math.prod(dims) <= 1000)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "flat", "quantised"]))
+    if kind == "random":
+        return rng.random(dims)
+    if kind == "flat":
+        return np.full(dims, 1.0 / math.prod(dims))
+    return rng.integers(0, 4, size=dims) / 7.0
 
 
 @st.composite
@@ -368,6 +433,25 @@ class TestProperties:
 
 
 class TestKernelProperties:
+    @given(kernel_fields(), st.sampled_from(KINDS),
+           st.floats(0.05, 4.0) | st.floats(4.0, 30.0) | st.just(1000.0),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_stencil_bit_identical_to_reference(self, field, kind, tau, crop):
+        # offsets from a grid up to twice the field's size stand in for
+        # ua_restricted's crop, whose stencil can reach past the field
+        grid = ActionGrid(tuple(2 * n if crop else n for n in field.shape))
+        offs = ball_offsets(grid, Metric(kind), tau)
+        assert np.array_equal(_shifted_sums(field, offs),
+                              reference_shifted_sums(field, offs))
+
+    @given(kernel_fields(), st.integers(0, 12), st.floats(0.2, 4.0), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_separable_bit_identical_to_reference(self, field, half, sigma, unit):
+        taps = ([np.ones(2 * half + 1)] if unit else [gaussian_kernel(sigma)]) * field.ndim
+        assert np.array_equal(_separable_sums(field, taps),
+                              reference_separable_sums(field, taps))
+
     @given(scaled_setups(max_axes=4, max_side=5), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_restricted_full_window_is_exact(self, setup, seed):
@@ -379,6 +463,14 @@ class TestKernelProperties:
             window=2 * max(grid.dims), mode="ua_restricted"))
         assert restricted.action == full.action
         assert restricted.aggregated_score == full.aggregated_score
+
+    @given(scaled_setups(max_axes=4, max_side=9))
+    @example((ActionGrid((4,), (0.1,)), CHEB, 3 * 0.1))  # 3 * 0.1 / 0.1 rounds above 3
+    @settings(max_examples=200, deadline=None)
+    def test_ball_reach_matches_offsets(self, setup):
+        grid, metric, tau = setup
+        reach = np.abs(ball_offsets(grid, metric, tau)).max(axis=0)
+        assert ball_reach(grid, metric, tau) == reach.tolist()
 
     @given(scaled_setups(max_axes=3, max_side=9, kinds=["chebyshev"]))
     @settings(max_examples=80, deadline=None)
@@ -400,3 +492,32 @@ class TestKernelProperties:
         want = oracle_neighborhood_sums(grid, p.values, metric, tau)
         assert abs(res.aggregated_score - want[res.action]) <= 1e-12
         assert want.max() - want[res.action] <= 1e-12
+
+
+class TestKernelMemory:
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_tau(self):
+        grid = ActionGrid((12, 12, 12))
+        v = np.random.default_rng(3).random(grid.size)
+        diag = math.dist(grid.dims, (1, 1, 1))
+        peaks = [self.peak_bytes(lambda: neighborhood_sums(grid, v, EUCL, tau))
+                 for tau in (diag, 1000.0)]
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_fast_peak_bounded_by_grid(self):
+        grid = ActionGrid((32, 32, 32))
+        p = ProbField(grid, np.full(grid.size, 1.0 / grid.size))
+        diag = math.dist(grid.dims, (1, 1, 1))
+        peaks = [self.peak_bytes(lambda: ua_select_fast(
+                     p, SelectionConfig(metric=CHEB, tau=tau, mode="ua_fast")))
+                 for tau in (diag, 1000.0)]
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert max(peaks) <= 8 * p.values.nbytes
