@@ -4,6 +4,7 @@ over discretized action grids, plus a deterministic synthetic benchmark."""
 from .action_space import ActionGrid, Metric, coords_of, distance, flat_index, neighborhood
 from .calibration import (
     CalibrationSample,
+    LogitBatch,
     LogitField,
     ProbField,
     ReliabilityTable,
@@ -12,6 +13,7 @@ from .calibration import (
     ece,
     entropy,
     fit_temperature,
+    max_entropy_by_task,
     nll,
     reliability_bins,
     softmax,

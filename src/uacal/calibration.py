@@ -2,14 +2,17 @@
 
 A scalar temperature T divides the logits before softmax. T is fitted by
 minimizing mean negative log-likelihood of the expert actions on a
-calibration set, via golden-section search on log T. The NLL is an exact
-log-softmax computed in bounded row blocks. Diagnostics cover expected
-calibration error (ECE), reliability binning, and entropy. All arithmetic
-is float64 regardless of storage precision.
+calibration set, which is convex in beta = 1/T, via safeguarded Newton
+steps on beta. The NLL is an exact log-softmax computed in bounded row
+blocks of a ``LogitBatch`` or of a list of ``CalibrationSample``s, which
+give bit-identical results. Diagnostics cover expected calibration error
+(ECE), reliability binning, and entropy. All arithmetic is float64
+regardless of storage precision.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +26,6 @@ T_MAX = 1e2
 LOG_T_TOL = 1e-5
 DEFAULT_BINS = 15
 _BLOCK_BYTES = 1 << 20  # float64 bytes per row block of logits
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,45 @@ class CalibrationSample:
 
 
 @dataclass(frozen=True)
+class LogitBatch:
+    """n records on one grid: a read-only (n, |A|) float logit array (float32
+    straight from a UACL file), each record's expert index and task id."""
+
+    grid: ActionGrid
+    logits: np.ndarray
+    experts: np.ndarray
+    task_ids: np.ndarray
+
+    def __post_init__(self):
+        v, e = np.asarray(self.logits).view(), np.asarray(self.experts)
+        t = np.asarray(self.task_ids, dtype=np.int64)
+        if v.shape != (len(e), self.grid.size) or t.shape != e.shape:
+            raise ValidationError(f"{v.shape} logits, {e.shape} experts and {t.shape} "
+                                  f"task ids do not fit |A|={self.grid.size}")
+        finite = np.isfinite(v).all(axis=1)
+        bad = np.flatnonzero(~finite | (e < 0) | (e >= self.grid.size))
+        if len(bad):  # the first bad record, as a per-record scan would name it
+            k = bad[0]
+            raise ValidationError(f"record {k}: " + (
+                f"expert index {e[k]} out of range for |A|={self.grid.size}"
+                if finite[k] else "logits must be finite (NaN/Inf rejected)"))
+        v.flags.writeable = False
+        for name, value in zip(("logits", "experts", "task_ids"), (v, e.astype(np.intp), t)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.experts)
+
+
+@dataclass(frozen=True)
 class TemperatureModel:
-    """Fitted temperature plus fit metadata."""
+    """Fitted temperature plus fit metadata; ``iterations`` counts NLL passes."""
 
     temperature: float
     final_nll: float
     iterations: int
     degenerate: bool = False
+    at_bound: bool = False   # minimiser pinned at T_MIN or T_MAX
 
 
 @dataclass(frozen=True)
@@ -138,65 +171,94 @@ def apply_temperature(f: LogitField, T: float) -> ProbField:
 
 
 def _log_softmax_blocks(data, T: float):
-    """Yield (log-softmax of logits / T, expert indices) over row blocks of data.
+    """Yield (log-softmax of logits / T, experts, task ids) over row blocks.
 
-    Each row is z - logsumexp(z) with z = logits / T, exact at any T. A block
-    holds at most _BLOCK_BYTES of float64 (or one row, if a row is larger),
-    so memory does not grow with n. All samples must share one |A|.
+    Each row is z - logsumexp(z) with z = logits / T, exact at any T. data is
+    a LogitBatch or a sequence of CalibrationSamples, and this is the only
+    place the two differ. Both split into the same blocks of at most
+    _BLOCK_BYTES of float64 (or one row, if a row is larger), so they give
+    bit-identical results and memory does not grow with n.
     """
-    data = list(data)
-    if not data:
+    batch = isinstance(data, LogitBatch)
+    data = data if batch else list(data)
+    if not len(data):
         raise ParameterError("calibration requires a nonempty dataset")
     T = _checked_temperature(T)
-    rows = max(1, _BLOCK_BYTES // (8 * data[0].logits.grid.size))
-    for start in range(0, len(data), rows):
-        block = data[start:start + rows]
-        z = np.stack([s.logits.values for s in block])
+    grid = data.grid if batch else data[0].logits.grid
+    rows = max(1, _BLOCK_BYTES // (8 * grid.size))
+    for i in range(0, len(data), rows):
+        if batch:
+            z = data.logits[i:i + rows].astype(np.float64)
+            experts, tasks = data.experts[i:i + rows], data.task_ids[i:i + rows]
+        else:
+            block = data[i:i + rows]
+            if any(s.logits.grid is not grid and s.logits.grid != grid for s in block):
+                raise ValidationError("all samples must share a single grid")
+            z = np.stack([s.logits.values for s in block])
+            experts = np.array([s.expert for s in block])
+            tasks = np.array([s.task_id for s in block])
         z /= T
         z -= z.max(axis=1, keepdims=True)
         z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-        yield z, np.array([s.expert for s in block])
+        yield z, experts, tasks
+
+
+def _nll_pass(data, T: float, moments: bool = False):
+    """Mean NLL at T; with moments, (NLL, gradient, curvature, flat), where the
+    derivatives in beta = 1/T are mean(E_p[z] - z_expert) and mean(Var_p[z])
+    over the raw logits z, and flat means every row is constant."""
+    picked, grads, curvs, flat = [], [], [], True
+    for logp, experts, _ in _log_softmax_blocks(data, T):
+        picked.append(np.take_along_axis(logp, experts[:, None], axis=1)[:, 0])
+        if moments:  # logp is z / T less a per-row constant: scale by T and T^2
+            p = np.exp(logp)
+            mean = np.einsum("ij,ij->i", p, logp)
+            dev = logp - mean[:, None]
+            grads.append(mean - picked[-1])
+            curvs.append(np.einsum("ij,ij->i", p * dev, dev))
+            flat = flat and bool((logp == logp[:, :1]).all())
+    value = -float(np.concatenate(picked).mean())
+    if not moments:
+        return value
+    grad, curv = (float(np.concatenate(x).mean()) for x in (grads, curvs))
+    return value, T * grad, T * T * curv, flat
 
 
 def nll(data, T: float) -> float:
     """Mean negative log-likelihood of expert actions at temperature T."""
-    picked = [np.take_along_axis(logp, experts[:, None], axis=1)
-              for logp, experts in _log_softmax_blocks(data, T)]
-    return -float(np.concatenate(picked).mean())
+    return _nll_pass(data, T)
 
 
 def fit_temperature(data) -> TemperatureModel:
-    """Fit the temperature minimizing NLL over [T_MIN, T_MAX].
+    """Fit the temperature minimizing NLL over [T_MIN, T_MAX]; deterministic.
 
-    Golden-section search on log T to absolute tolerance 1e-5; deterministic.
-    If every sample's logits are constant the objective is flat in T: the
-    fit returns T=1 with the degenerate flag set.
+    Newton steps on beta = 1/T from T=1, one blocked pass each, inside a
+    bracket from the gradients' signs (a step leaving it bisects in log beta).
+    Stops once a step would move log T by at most LOG_T_TOL and returns the
+    last pass's T and NLL; ``iterations`` counts the passes, and ``at_bound``
+    is set when the minimiser is pinned at T_MIN or T_MAX. If every sample's
+    logits are constant the objective is flat in T: the fit returns T=1 with
+    the degenerate flag set.
     """
-    data = list(data)
-    if all(float(np.ptp(s.logits.values)) == 0.0 for s in data):
-        return TemperatureModel(1.0, nll(data, 1.0), 0, degenerate=True)
-
-    def objective(u: float) -> float:
-        return nll(data, math.exp(u))
-
-    lo, hi = math.log(T_MIN), math.log(T_MAX)
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    iterations = 0
-    while hi - lo > LOG_T_TOL:
-        iterations += 1
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-    u_hat = 0.5 * (lo + hi)
-    t_hat = min(max(math.exp(u_hat), T_MIN), T_MAX)
-    return TemperatureModel(t_hat, nll(data, t_hat), iterations)
+    data = data if isinstance(data, LogitBatch) else list(data)
+    b_lo, b_hi = 1.0 / T_MAX, 1.0 / T_MIN
+    lo, hi, beta, last = b_lo / 2, b_hi * 2, 1.0, math.inf  # ends outside the domain: open
+    for passes in itertools.count(1):
+        value, grad, curv, flat = _nll_pass(data, 1.0 / beta, moments=True)
+        if flat:
+            return TemperatureModel(1.0, value, passes, degenerate=True)
+        lo, hi = (lo, beta) if grad > 0 else (beta, hi)
+        step = beta - grad / curv if curv > 0 else (b_lo if grad > 0 else b_hi)
+        step = min(max(step, b_lo), b_hi)
+        # toward an open end, steps that stop halving (an exponential tail) jump to it
+        slow = abs(math.log(step / beta)) > last / 2 and (lo < b_lo or hi > b_hi)
+        if (slow or not lo < step < hi) and step != beta:
+            step = b_hi if hi > b_hi else b_lo if lo < b_lo else math.sqrt(lo * hi)
+        if abs(math.log(step / beta)) <= LOG_T_TOL:
+            break
+        last, beta = abs(math.log(step / beta)), step
+    pinned = (beta == b_hi and grad <= 0) or (beta == b_lo and grad >= 0)
+    return TemperatureModel(1.0 / beta, value, passes, at_bound=pinned)
 
 
 def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
@@ -204,7 +266,7 @@ def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> Reliab
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
     confs, hits = [], []
-    for logp, experts in _log_softmax_blocks(data, T):
+    for logp, experts, _ in _log_softmax_blocks(data, T):
         confs.append(np.exp(logp.max(axis=1)))
         hits.append(logp.argmax(axis=1) == experts)  # lowest index among ties
     conf = np.concatenate(confs)
@@ -224,6 +286,18 @@ def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> Reliab
 def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
     """Expected calibration error: bin-weighted |accuracy - mean confidence|."""
     return reliability_bins(data, T, n_bins).ece()
+
+
+def max_entropy_by_task(data, T: float = 1.0) -> dict[int, float]:
+    """Largest softmax entropy (nats) at temperature T among each task's rows."""
+    ids, highs = [], []
+    for logp, _, tasks in _log_softmax_blocks(data, T):
+        ids.append(tasks)
+        highs.append(-np.einsum("ij,ij->i", np.exp(logp), logp))
+    tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
+    best = np.zeros(len(tasks))
+    np.maximum.at(best, which, np.concatenate(highs))
+    return dict(zip(tasks.tolist(), best.tolist()))
 
 
 def entropy(p: ProbField) -> float:

@@ -28,14 +28,15 @@ _MODE_NAMES = {
 }
 
 
-def _filter_task(samples, task: str):
+def _filter_task(batch, task: str):
     if task == "all":
-        return samples
+        return batch
     tid = int(task)
-    kept = [s for s in samples if s.task_id == tid]
-    if not kept:
+    keep = batch.task_ids == tid
+    if not keep.any():
         raise UacalError(f"no samples with task id {tid}")
-    return kept
+    return calibration.LogitBatch(batch.grid, batch.logits[keep], batch.experts[keep],
+                                  batch.task_ids[keep])
 
 
 def _resolve_temperature(arg: str) -> float:
@@ -59,12 +60,15 @@ def _selection_config(args, mode: str) -> selection.SelectionConfig:
 
 
 def cmd_calibrate(args) -> int:
-    samples = _filter_task(dataset_io.read_dataset(args.dataset), args.task)
-    model = calibration.fit_temperature(samples)
-    checksum = dataset_io.dataset_checksum(args.dataset)
+    checksum = dataset_io.dataset_checksum(args.dataset)  # first: frees its whole-file read
+    batch = _filter_task(dataset_io.read_batch(args.dataset), args.task)
+    model = calibration.fit_temperature(batch)
     dataset_io.write_temperature_file(args.out, model, checksum)
     print(f"temperature {model.temperature:.17g} nll {model.final_nll:.17g} "
           f"iterations {model.iterations}")
+    if model.at_bound:
+        print(f"warning: temperature pinned at the bound {model.temperature:g} "
+              f"of [{calibration.T_MIN:g}, {calibration.T_MAX:g}]", file=sys.stderr)
     if model.degenerate:
         print("warning: degenerate fit (NLL constant in T)", file=sys.stderr)
         if args.strict:
@@ -73,31 +77,27 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    samples = _filter_task(dataset_io.read_dataset(args.dataset), args.task)
+    batch = _filter_task(dataset_io.read_batch(args.dataset), args.task)
     T = _resolve_temperature(args.temperature)
-    table = calibration.reliability_bins(samples, T, args.bins)
+    table = calibration.reliability_bins(batch, T, args.bins)
     dataset_io.write_reliability_csv(args.out, table)
     print(f"ece {table.ece():.17g}")
-    by_task: dict[int, float] = {}
-    for s in samples:
-        h = calibration.entropy(calibration.apply_temperature(s.logits, T))
-        by_task[s.task_id] = max(by_task.get(s.task_id, 0.0), h)
-    for tid in sorted(by_task):
-        print(f"task {tid} max_entropy {by_task[tid]:.17g}")
+    for tid, h in sorted(calibration.max_entropy_by_task(batch, T).items()):
+        print(f"task {tid} max_entropy {h:.17g}")
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    samples = dataset_io.read_dataset(args.dataset)
-    if not 0 <= args.index < len(samples):
+    batch = dataset_io.read_batch(args.dataset)
+    if not 0 <= args.index < len(batch):
         raise UacalError(f"record index {args.index} out of range "
-                         f"[0, {len(samples)})")
-    sample = samples[args.index]
+                         f"[0, {len(batch)})")
+    logits = calibration.LogitField(batch.grid, batch.logits[args.index])
     T = _resolve_temperature(args.temperature)
-    p = calibration.apply_temperature(sample.logits, T)
+    p = calibration.apply_temperature(logits, T)
     cfg = _selection_config(args, _MODE_NAMES[args.mode])
     res = selection.select(p, cfg)
-    coords = coords_of(sample.logits.grid, res.action)
+    coords = coords_of(batch.grid, res.action)
     print(f"action {res.action}")
     print(f"coords {' '.join(str(c) for c in coords)}")
     print(f"score {res.aggregated_score:.17g}")

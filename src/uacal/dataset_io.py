@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .action_space import ActionGrid
-from .calibration import CalibrationSample, LogitField, TemperatureModel
+from .calibration import CalibrationSample, LogitBatch, LogitField, TemperatureModel
 from .errors import FormatError, ValidationError
 
 MAGIC = b"UACL"
@@ -101,28 +101,31 @@ def expected_length(grid: ActionGrid, n_samples: int) -> int:
     return 9 + 4 * grid.ndim + 8 + n_samples * (12 + 4 * grid.size)
 
 
-def read_dataset(path) -> list[CalibrationSample]:
-    """Parse and validate a UACL file into calibration samples."""
-    size = os.path.getsize(path)
+def read_batch(path) -> LogitBatch:
+    """Parse and validate a UACL file into one LogitBatch whose logits are a
+    read-only float32 view of the record bytes; no per-record work in Python."""
     with open(path, "rb") as fh:
         grid, n_samples = read_header(fh)
-        want = expected_length(grid, n_samples)
+        size, want = os.fstat(fh.fileno()).st_size, expected_length(grid, n_samples)
         if size != want:
-            raise FormatError(
-                f"file length {size} does not match expected {want} "
-                f"for {n_samples} samples on dims {grid.dims}")
-        samples = []
-        rec_logits = 4 * grid.size
-        for ordinal in range(n_samples):
-            task_id, expert = struct.unpack("<IQ", _read_exact(fh, 12, "record header"))
-            raw = _read_exact(fh, rec_logits, "record logits")
-            try:
-                sample = CalibrationSample(
-                    LogitField(grid, np.frombuffer(raw, dtype="<f4")), expert, task_id)
-            except ValidationError as exc:
-                raise FormatError(f"record {ordinal}: {exc}") from exc
-            samples.append(sample)
-    return samples
+            raise FormatError(f"file length {size} does not match expected {want} "
+                              f"for {n_samples} samples on dims {grid.dims}")
+        records = bytearray(size - fh.tell())
+        if fh.readinto(records) != len(records):
+            raise FormatError(f"file shrank below {size} bytes while being read")
+    rec = np.frombuffer(records, count=n_samples, dtype=[
+        ("task", "<u4"), ("expert", "<u8"), ("logits", "<f4", (grid.size,))])
+    try:
+        return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def read_dataset(path) -> list[CalibrationSample]:
+    """Parse and validate a UACL file into calibration samples."""
+    batch = read_batch(path)
+    return [CalibrationSample(LogitField(batch.grid, row), expert, task) for row, expert, task
+            in zip(batch.logits, batch.experts.tolist(), batch.task_ids.tolist())]
 
 
 def count_samples(path) -> int:
@@ -138,6 +141,7 @@ def write_temperature_file(path, model: TemperatureModel, checksum: str) -> None
         f"final_nll = {model.final_nll:.17g}",
         f"iterations = {model.iterations}",
         f"degenerate = {'true' if model.degenerate else 'false'}",
+        f"at_bound = {'true' if model.at_bound else 'false'}",
         f"dataset_checksum = {checksum}",
     ]
     with open(path, "w") as fh:
@@ -145,7 +149,7 @@ def write_temperature_file(path, model: TemperatureModel, checksum: str) -> None
 
 
 def read_temperature_file(path):
-    """Returns (TemperatureModel, checksum)."""
+    """Returns (TemperatureModel, checksum); a missing flag line reads as false."""
     fields = {}
     with open(path) as fh:
         for line in fh:
@@ -162,6 +166,7 @@ def read_temperature_file(path):
             final_nll=float(fields["final_nll"]),
             iterations=int(fields["iterations"]),
             degenerate=fields.get("degenerate", "false") == "true",
+            at_bound=fields.get("at_bound", "false") == "true",
         )
         checksum = fields["dataset_checksum"]
     except KeyError as exc:

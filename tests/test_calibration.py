@@ -6,13 +6,17 @@ import pytest
 from uacal import calibration
 from uacal.action_space import ActionGrid
 from uacal.calibration import (
+    T_MAX,
+    T_MIN,
     CalibrationSample,
+    LogitBatch,
     LogitField,
     ProbField,
     apply_temperature,
     ece,
     entropy,
     fit_temperature,
+    max_entropy_by_task,
     nll,
     reliability_bins,
     softmax,
@@ -29,6 +33,18 @@ def field(values):
 
 def sample(values, expert, task_id=0):
     return CalibrationSample(field(values), expert, task_id)
+
+
+def batch_of(samples):
+    """The LogitBatch holding the same records as a sample list."""
+    return LogitBatch(samples[0].logits.grid,
+                      np.stack([s.logits.values for s in samples]),
+                      [s.expert for s in samples], [s.task_id for s in samples])
+
+
+def c4_data(gain):
+    """C4's calibration set (tests/test_acceptance.py) for one gain."""
+    return make_calibration_set(2000, gain, ActionGrid((64,)), seed=987654321 + 3)
 
 
 class TestFieldTypes:
@@ -152,6 +168,32 @@ class TestFitTemperature:
         assert model.temperature == 1.0
         assert model.degenerate
 
+    @pytest.mark.parametrize("gain", [0.5, 2.0, 5.0])
+    def test_c4_data_minimal_in_few_passes(self, gain):
+        data = c4_data(gain)
+        model = fit_temperature(data)
+        assert model.iterations <= 8
+        assert not model.at_bound and not model.degenerate
+        assert model.final_nll == nll(data, model.temperature)
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            assert nll(data, model.temperature * factor) >= model.final_nll
+
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    def test_pinned_at_t_min_when_every_expert_is_the_argmax(self, rng, scale):
+        # NLL falls monotonically as T -> 0; scale 1000 puts every row deep in
+        # the exponential tail, where plain Newton steps stay tiny
+        data = [sample(z, int(np.argmax(z))) for z in rng.normal(0, 1, (50, 8)) * scale]
+        model = fit_temperature(data)
+        assert model.temperature == T_MIN
+        assert model.at_bound and not model.degenerate
+        assert model.iterations <= 8
+
+    def test_pinned_at_t_max_when_every_expert_is_the_argmin(self, rng):
+        data = [sample(z, int(np.argmin(z))) for z in rng.normal(0, 1, (50, 8))]
+        model = fit_temperature(data)
+        assert model.temperature == T_MAX
+        assert model.at_bound
+
     def test_recovers_gain_against_grid_scan(self):
         grid = ActionGrid((64,))
         data = make_calibration_set(2000, 2.0, grid, seed=3)
@@ -201,6 +243,90 @@ class TestFitTemperature:
         a = fit_temperature(data)
         b = fit_temperature(data)
         assert a == b
+
+
+class TestBatchInput:
+    """A LogitBatch and the equivalent sample list give bit-identical results."""
+
+    @pytest.mark.parametrize("n,size", [(300, 16), (7, calibration._BLOCK_BYTES // 16)])
+    def test_bit_identical_to_sample_list(self, rng, n, size):
+        # the second case holds two rows per block: four blocks, the last ragged
+        samples = [sample(rng.normal(0, 3, size=size).astype(np.float32),
+                          int(rng.integers(0, size)), int(rng.integers(0, 3)))
+                   for _ in range(n)]
+        batch = batch_of(samples)
+        assert fit_temperature(batch) == fit_temperature(samples)
+        assert nll(batch, 1.7) == nll(samples, 1.7)
+        a, b = reliability_bins(batch, 0.8, 12), reliability_bins(samples, 0.8, 12)
+        for field_name in ("bin_edges", "counts", "mean_confidence", "accuracy"):
+            assert np.array_equal(getattr(a, field_name), getattr(b, field_name),
+                                  equal_nan=True)
+        assert max_entropy_by_task(batch, 1.3) == max_entropy_by_task(samples, 1.3)
+
+    def test_read_only_and_normalised(self):
+        batch = LogitBatch(ActionGrid((3,)), np.zeros((2, 3)), np.array([2, 0], np.uint64),
+                           np.array([5, 6], np.uint32))
+        assert not batch.logits.flags.writeable
+        assert len(batch) == 2
+        assert batch.experts.tolist() == [2, 0] and batch.task_ids.tolist() == [5, 6]
+
+    @pytest.mark.parametrize("row,value,expert,match", [
+        (1, np.nan, 0, "record 1: logits must be finite"),
+        (2, -np.inf, 0, "record 2: logits must be finite"),
+        (1, 0.0, 3, r"record 1: expert index 3 out of range for \|A\|=3"),
+        (0, 0.0, -1, "record 0: expert index -1 out of range"),
+    ])
+    def test_first_bad_record_named(self, row, value, expert, match):
+        logits = np.zeros((4, 3))
+        experts = np.zeros(4, dtype=np.int64)
+        logits[row, 1] = value
+        experts[row] = expert
+        logits[3, 0] = np.nan  # a later bad record is not the one reported
+        with pytest.raises(ValidationError, match=match):
+            LogitBatch(ActionGrid((3,)), logits, experts, np.zeros(4))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            LogitBatch(ActionGrid((3,)), np.zeros((2, 4)), [0, 0], [0, 0])
+        with pytest.raises(ValidationError):
+            LogitBatch(ActionGrid((3,)), np.zeros((2, 3)), [0, 0], [0])
+
+    def test_empty_batch_rejected(self):
+        empty = LogitBatch(ActionGrid((3,)), np.zeros((0, 3)), [], [])
+        with pytest.raises(ParameterError, match="nonempty"):
+            nll(empty, 1.0)
+        with pytest.raises(ParameterError, match="nonempty"):
+            fit_temperature(empty)
+
+    @pytest.mark.parametrize("other", [ActionGrid((5,)), ActionGrid((2, 2)),
+                                       ActionGrid((4,), (0.5,))])
+    def test_mixed_grids_rejected(self, rng, other):
+        grid = ActionGrid((4,))
+        samples = [CalibrationSample(LogitField(g, rng.normal(size=g.size)), 0)
+                   for g in (grid, grid, other)]
+        for call in (lambda: nll(samples, 1.0), lambda: fit_temperature(samples),
+                     lambda: reliability_bins(samples), lambda: max_entropy_by_task(samples)):
+            with pytest.raises(ValidationError, match="all samples must share a single grid"):
+                call()
+
+
+class TestMaxEntropyByTask:
+    def test_matches_per_record_entropy(self, rng):
+        samples = [sample(rng.normal(0, 2, size=10), 0, int(rng.integers(0, 4)))
+                   for _ in range(60)]
+        for T in (0.3, 1.0, 4.0):
+            got = max_entropy_by_task(samples, T)
+            assert sorted(got) == sorted({s.task_id for s in samples})
+            for tid, h in got.items():
+                want = max(entropy(apply_temperature(s.logits, T))
+                           for s in samples if s.task_id == tid)
+                assert h == pytest.approx(want, abs=1e-12)
+
+    def test_one_hot_and_uniform_rows(self):
+        data = [sample([800.0, 0.0, 0.0], 0, 7), sample([1.0, 1.0, 1.0], 0, 9)]
+        got = max_entropy_by_task(data)
+        assert got[7] == 0.0
+        assert got[9] == pytest.approx(math.log(3), abs=1e-15)
 
 
 class TestEce:

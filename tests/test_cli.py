@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+
+from uacal import calibration, dataset_io
 
 from uacal.action_space import ActionGrid, Metric, coords_of
 from uacal.calibration import (
@@ -71,6 +75,44 @@ class TestCalibrate:
                       "--strict")
         assert code == 4
         code, _ = run(capsys, "calibrate", "--dataset", ds, "--out", out_file)
+        assert code == 0
+
+    def test_pinned_fit_warns_on_stderr_only(self, tmp_path, capsys, rng):
+        grid = ActionGrid((6,))
+        data = [CalibrationSample(LogitField(grid, z), int(np.argmax(z)), 0)
+                for z in rng.normal(0, 1, (30, 6))]
+        ds = tmp_path / "pinned.uacl"
+        write_dataset(ds, data)
+        out_file = tmp_path / "t.txt"
+        code = main(["calibrate", "--dataset", str(ds), "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert re.fullmatch(r"temperature 0\.01 nll \S+ iterations \d+\n", captured.out)
+        assert "pinned" in captured.err
+        model, _ = read_temperature_file(out_file)
+        assert model.at_bound and model.temperature == 0.01
+        assert "at_bound = true\n" in out_file.read_text()
+
+    def test_unpinned_fit_is_quiet(self, tmp_path, capsys):
+        path = tmp_path / "g3.uacl"
+        write_dataset(path, make_calibration_set(300, 3.0, ActionGrid((16,)), seed=4))
+        out_file = tmp_path / "t.txt"
+        assert main(["calibrate", "--dataset", str(path), "--out", str(out_file)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "at_bound = false\n" in out_file.read_text()
+
+    def test_reads_one_batch_and_makes_no_extra_nll_pass(self, dataset, tmp_path,
+                                                         capsys, monkeypatch):
+        path, _ = dataset
+        def refuse(*args):
+            raise AssertionError("not on the CLI path")
+        monkeypatch.setattr(dataset_io, "read_dataset", refuse)
+        monkeypatch.setattr(calibration, "nll", refuse)
+        code, out = run(capsys, "calibrate", "--dataset", path, "--out", tmp_path / "t.txt")
+        assert code == 0
+        code, _ = run(capsys, "report", "--dataset", path, "--out", tmp_path / "r.csv")
+        assert code == 0
+        code, _ = run(capsys, "select", "--dataset", path, "--index", "1", "--mode", "ua")
         assert code == 0
 
     def test_format_error_exit_2(self, tmp_path, capsys):
@@ -183,6 +225,14 @@ class TestSelect:
         code, _ = run(capsys, "select", "--dataset", path, "--index", "999",
                       "--mode", "greedy")
         assert code == 3
+
+    @pytest.mark.parametrize("index", ["40", "-1"])
+    def test_index_out_of_range_message(self, dataset, capsys, index):
+        path, _ = dataset
+        code = main(["select", "--dataset", str(path), "--index", index, "--mode", "greedy"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: record index {index} out of range [0, 40)\n"
 
     def test_infinite_temperature_exit_3(self, dataset, tmp_path, capsys):
         path, _ = dataset

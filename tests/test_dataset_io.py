@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from uacal import calibration
 from uacal.action_space import ActionGrid
 from uacal.calibration import CalibrationSample, LogitField, TemperatureModel
 from uacal.dataset_io import (
     count_samples,
     dataset_checksum,
     expected_length,
+    read_batch,
     read_dataset,
     read_temperature_file,
     write_dataset,
@@ -43,6 +46,21 @@ def f32_datasets(draw, min_samples=0):
                                  draw(st.integers(0, 2**32 - 1)))
                for _ in range(draw(st.integers(min_samples, 6)))]
     return grid, samples
+
+
+def reference_records(path) -> list:
+    """(task id, expert, f32 logits) per record, parsed one record at a time
+    with struct, independently of the library's reader."""
+    raw = Path(path).read_bytes()
+    ndims = raw[8]
+    size = int(np.prod(struct.unpack_from(f"<{ndims}I", raw, 9)))
+    (n,) = struct.unpack_from("<Q", raw, 9 + 4 * ndims)
+    at, records = 17 + 4 * ndims, []
+    for _ in range(n):
+        task, expert = struct.unpack_from("<IQ", raw, at)
+        records.append((task, expert, struct.unpack_from(f"<{size}f", raw, at + 12)))
+        at += 12 + 4 * size
+    return records
 
 
 def written(grid, samples, tmp: str) -> Path:
@@ -221,6 +239,49 @@ class TestFormatProperties:
                 read_dataset(path)
 
 
+class TestReadBatch:
+    def test_float32_read_only_view(self, tmp_path, rng):
+        grid = ActionGrid((2, 3))
+        samples = random_samples(rng, grid, 5, tasks=3)
+        path = tmp_path / "d.uacl"
+        write_dataset(path, samples)
+        batch = read_batch(path)
+        assert batch.grid == grid and len(batch) == 5
+        assert batch.logits.dtype == np.float32 and batch.logits.shape == (5, 6)
+        assert not batch.logits.flags.writeable
+        assert batch.experts.tolist() == [s.expert for s in samples]
+        assert batch.task_ids.tolist() == [s.task_id for s in samples]
+        want = np.stack([s.logits.values for s in samples]).astype(np.float32)
+        assert np.array_equal(batch.logits, want)
+
+    def test_empty_dataset(self, tmp_path):
+        path = tmp_path / "d.uacl"
+        write_dataset(path, [], grid=ActionGrid((3, 4)))
+        batch = read_batch(path)
+        assert len(batch) == 0 and batch.logits.shape == (0, 12)
+
+    @given(f32_datasets(min_samples=1), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_read_dataset_across_blocks(self, dataset, rows_per_block):
+        # a block of rows_per_block rows, so up to six records span several blocks
+        grid, samples = dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            path = written(grid, samples, tmp)
+            batch, listed, want = read_batch(path), read_dataset(path), reference_records(path)
+        assert len(batch) == len(listed) == len(want) == len(samples)
+        for k, (s, (task, expert, logits)) in enumerate(zip(listed, want)):
+            assert batch.logits[k].tolist() == list(logits) == s.logits.values.tolist()
+            assert (batch.task_ids[k], batch.experts[k]) == (task, expert)
+            assert (s.task_id, s.expert) == (task, expert)
+        with mock.patch.object(calibration, "_BLOCK_BYTES", 8 * grid.size * rows_per_block):
+            for T in (1.5, 40.0):
+                assert calibration.nll(batch, T) == calibration.nll(listed, T)
+                a = calibration.reliability_bins(batch, T)
+                b = calibration.reliability_bins(listed, T)
+                assert np.array_equal(a.counts, b.counts)
+                assert np.array_equal(a.mean_confidence, b.mean_confidence, equal_nan=True)
+
+
 class TestTemperatureFile:
     def test_round_trip(self, tmp_path):
         model = TemperatureModel(2.125, 0.4375, 31)
@@ -236,6 +297,23 @@ class TestTemperatureFile:
         write_temperature_file(path, model, "0" * 16)
         got, _ = read_temperature_file(path)
         assert got.degenerate
+
+    def test_at_bound_round_trip(self, tmp_path):
+        model = TemperatureModel(0.01, 0.0184, 3, at_bound=True)
+        path = tmp_path / "temp.txt"
+        write_temperature_file(path, model, "0" * 16)
+        assert "at_bound = true\n" in path.read_text()
+        got, _ = read_temperature_file(path)
+        assert got == model and got.at_bound
+
+    def test_file_without_at_bound_line_loads(self, tmp_path):
+        # the layout written before the at_bound flag existed
+        path = tmp_path / "temp.txt"
+        path.write_text("temperature = 2.5\nfinal_nll = 1.25\niterations = 29\n"
+                        "degenerate = false\ndataset_checksum = 79c74e10a4ccb79e\n")
+        model, checksum = read_temperature_file(path)
+        assert model == TemperatureModel(2.5, 1.25, 29)
+        assert not model.at_bound and checksum == "79c74e10a4ccb79e"
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "temp.txt"
