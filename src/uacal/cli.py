@@ -60,8 +60,8 @@ def _selection_config(args, mode: str) -> selection.SelectionConfig:
 
 
 def cmd_calibrate(args) -> int:
-    checksum = dataset_io.dataset_checksum(args.dataset)  # first: frees its whole-file read
-    batch = _filter_task(dataset_io.read_batch(args.dataset), args.task)
+    batch, checksum = dataset_io._read_batch(args.dataset, checksum=True)
+    batch = _filter_task(batch, args.task)
     model = calibration.fit_temperature(batch)
     dataset_io.write_temperature_file(args.out, model, checksum)
     print(f"temperature {model.temperature:.17g} nll {model.final_nll:.17g} "

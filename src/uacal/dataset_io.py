@@ -101,24 +101,33 @@ def expected_length(grid: ActionGrid, n_samples: int) -> int:
     return 9 + 4 * grid.ndim + 8 + n_samples * (12 + 4 * grid.size)
 
 
-def read_batch(path) -> LogitBatch:
-    """Parse and validate a UACL file into one LogitBatch whose logits are a
-    read-only float32 view of the record bytes; no per-record work in Python."""
+def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:
+    """read_batch, plus the file's ``dataset_checksum`` when asked for, taken
+    from the same bytes so the file is read once."""
     with open(path, "rb") as fh:
         grid, n_samples = read_header(fh)
+        head = fh.tell()
         size, want = os.fstat(fh.fileno()).st_size, expected_length(grid, n_samples)
         if size != want:
             raise FormatError(f"file length {size} does not match expected {want} "
                               f"for {n_samples} samples on dims {grid.dims}")
-        records = bytearray(size - fh.tell())
-        if fh.readinto(records) != len(records):
+        data = bytearray(size)
+        fh.seek(0)
+        if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")
-    rec = np.frombuffer(records, count=n_samples, dtype=[
+    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=[
         ("task", "<u4"), ("expert", "<u8"), ("logits", "<f4", (grid.size,))])
     try:
-        return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
+        batch = LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
+    return batch, _digest(data) if checksum else None
+
+
+def read_batch(path) -> LogitBatch:
+    """Parse and validate a UACL file into one LogitBatch whose logits are a
+    read-only float32 view of the record bytes; no per-record work in Python."""
+    return _read_batch(path)[0]
 
 
 def read_dataset(path) -> list[CalibrationSample]:

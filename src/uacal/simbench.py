@@ -117,10 +117,10 @@ def make_world(seed: int, task: TaskConfig = TaskConfig()) -> WorldState:
             hx = int(rng.integers(h_lo, h_hi + 1))
             cy = int(rng.integers(hy, dims[0] - hy))
             cx = int(rng.integers(hx, dims[1] - hx))
-            rect = Rect((cy, cx), (hy, hx), kind)
-            cells = set(rect.cells())
-            if all(cells.isdisjoint(set(p.cells())) for p in placed):
-                placed.append(rect)
+            # inclusive footprints are disjoint iff they are apart on some axis
+            if all(abs(cy - py) > hy + qy or abs(cx - px) > hx + qx
+                   for (py, px), (qy, qx) in ((p.center, p.half_extents) for p in placed)):
+                placed.append(Rect((cy, cx), (hy, hx), kind))
                 break
         else:
             raise GenerationError(
@@ -137,8 +137,7 @@ def synthesize_logits(world: WorldState, model: SynthModelConfig):
     """
     grid = world.grid
     rng = np.random.default_rng(np.random.PCG64(splitmix64(world.episode_seed, 0xF1E1D)))
-    ys, xs = np.meshgrid(np.arange(grid.dims[0]), np.arange(grid.dims[1]),
-                         indexing="ij")
+    ys, xs = np.arange(grid.dims[0])[:, None], np.arange(grid.dims[1])
     base = np.zeros(grid.dims)
     for t in world.targets:
         cy, cx = t.center
@@ -153,16 +152,27 @@ def synthesize_logits(world: WorldState, model: SynthModelConfig):
     return LogitField(grid, logits.ravel()), expert
 
 
+def _score_episode(world: WorldState, model: SynthModelConfig, cfgs,
+                   T: float) -> list[EpisodeOutcome]:
+    """Synthesize and temperature-scale once, then select and classify the
+    chosen cell under every config."""
+    logits, expert = synthesize_logits(world, model)
+    p = apply_temperature(logits, T)
+    targets, distractors = world.targets, world.distractors
+    outcomes = []
+    for cfg in cfgs:
+        res = select(p, cfg)
+        coords = coords_of(world.grid, res.action)
+        success = any(t.contains(coords) for t in targets)
+        hit = (not success) and any(d.contains(coords) for d in distractors)
+        outcomes.append(EpisodeOutcome(res.action, expert, success, hit, cfg.mode))
+    return outcomes
+
+
 def run_episode(world: WorldState, model: SynthModelConfig,
                 cfg: SelectionConfig, T: float = 1.0) -> EpisodeOutcome:
     """Synthesize, temperature-scale, select, and classify the chosen cell."""
-    logits, expert = synthesize_logits(world, model)
-    p = apply_temperature(logits, T)
-    res = select(p, cfg)
-    coords = coords_of(world.grid, res.action)
-    success = any(t.contains(coords) for t in world.targets)
-    hit = (not success) and any(d.contains(coords) for d in world.distractors)
-    return EpisodeOutcome(res.action, expert, success, hit, cfg.mode)
+    return _score_episode(world, model, [cfg], T)[0]
 
 
 @dataclass(frozen=True)
@@ -177,23 +187,29 @@ class ModeReport:
 
 def evaluate(n_episodes: int, base_seed: int, task: TaskConfig,
              model: SynthModelConfig, cfgs, T: float = 1.0) -> list[ModeReport]:
-    """Run n_episodes per selection config; deterministic in (base_seed, configs)."""
+    """Score every selection config on the same n_episodes worlds, one report
+    per config; deterministic in (base_seed, configs).
+
+    Each episode's world, logits and probabilities are built once and shared
+    by all configs, so the modes are compared on identical scenes.
+    """
     if n_episodes < 1:
         raise ParameterError("n_episodes must be >= 1")
-    if isinstance(cfgs, SelectionConfig):
-        cfgs = [cfgs]
+    cfgs = [cfgs] if isinstance(cfgs, SelectionConfig) else list(cfgs)
+    if not cfgs:
+        raise ParameterError("need at least one selection config")
+    wins = [0] * len(cfgs)
+    hits = [0] * len(cfgs)
+    for i in range(n_episodes):
+        world = make_world(splitmix64(base_seed, i), task)
+        for j, out in enumerate(_score_episode(world, model, cfgs, T)):
+            wins[j] += out.success
+            hits[j] += out.hit_distractor
     reports = []
-    for cfg in cfgs:
-        wins = 0
-        hits = 0
-        for i in range(n_episodes):
-            world = make_world(splitmix64(base_seed, i), task)
-            out = run_episode(world, model, cfg, T)
-            wins += out.success
-            hits += out.hit_distractor
-        rate = wins / n_episodes
+    for cfg, w, h in zip(cfgs, wins, hits):
+        rate = w / n_episodes
         se = math.sqrt(rate * (1.0 - rate) / n_episodes)
-        reports.append(ModeReport(cfg.mode, n_episodes, wins, rate, se, hits))
+        reports.append(ModeReport(cfg.mode, n_episodes, w, rate, se, h))
     return reports
 
 

@@ -115,6 +115,20 @@ class TestCalibrate:
         code, _ = run(capsys, "select", "--dataset", path, "--index", "1", "--mode", "ua")
         assert code == 0
 
+    def test_checksum_comes_from_the_batch_read(self, dataset, tmp_path, capsys,
+                                                 monkeypatch):
+        path, _ = dataset
+        expected = dataset_io.dataset_checksum(path)
+        def refuse(*args):
+            raise AssertionError("calibrate must not read the file a second time")
+        monkeypatch.setattr(dataset_io, "dataset_checksum", refuse)
+        out_file = tmp_path / "t.txt"
+        for task in ("all", "1"):
+            code, _ = run(capsys, "calibrate", "--dataset", path, "--task", task,
+                          "--out", out_file)
+            assert code == 0
+            assert read_temperature_file(out_file)[1] == expected
+
     def test_format_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.uacl"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uacal import calibration
+from uacal import calibration, dataset_io
 from uacal.action_space import ActionGrid
 from uacal.calibration import CalibrationSample, LogitField, TemperatureModel
 from uacal.dataset_io import (
@@ -206,6 +206,21 @@ class TestFormatProperties:
             [(s.expert, s.task_id) for s in samples]
         for b, s in zip(back, samples):
             assert np.array_equal(b.logits.values, s.logits.values)
+
+    @given(f32_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_read_checksum_matches_whole_file_checksum(self, dataset):
+        grid, samples = dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            path = written(grid, samples, tmp)
+            batch, checksum = dataset_io._read_batch(path, checksum=True)
+            assert checksum == dataset_checksum(path) == \
+                hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+            assert dataset_io._read_batch(path)[1] is None
+            plain = read_batch(path)
+        assert np.array_equal(batch.logits, plain.logits)
+        assert np.array_equal(batch.experts, plain.experts)
+        assert np.array_equal(batch.task_ids, plain.task_ids)
 
     @given(f32_datasets(min_samples=1), st.data())
     @settings(max_examples=60, deadline=None)

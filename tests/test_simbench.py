@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uacal.action_space import ActionGrid, Metric
-from uacal.calibration import ece, fit_temperature
+from uacal.action_space import ActionGrid, Metric, flat_index
+from uacal.calibration import LogitField, ece, fit_temperature
 from uacal.errors import GenerationError, ParameterError
 from uacal.selection import SelectionConfig
 from uacal.simbench import (
     PRESETS,
+    Rect,
     SynthModelConfig,
     TaskConfig,
+    WorldState,
     evaluate,
     make_calibration_set,
     make_world,
@@ -21,6 +25,80 @@ from uacal.simbench import (
 
 GREEDY = SelectionConfig(mode="greedy")
 UA = SelectionConfig(metric=Metric("euclidean"), tau=2.5, mode="ua_exact")
+ALL_MODES = [
+    GREEDY,
+    UA,
+    SelectionConfig(metric=Metric("chebyshev"), tau=2.5, mode="ua_fast"),
+    SelectionConfig(metric=Metric("euclidean"), tau=2.5, mode="ua_restricted"),
+    SelectionConfig(mode="gaussian", sigma=1.0),
+]
+
+
+def set_based_world(seed, task):
+    """Reference placement: the same draws, with disjointness tested on
+    Python sets of footprint cells."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    dims = task.dims
+    placed = []
+    plan = [("target", task.target_half_extent)] * task.n_targets
+    plan += [("distractor", task.distractor_half_extent)] * task.n_distractors
+    for kind, (h_lo, h_hi) in plan:
+        for _ in range(task.max_retries):
+            hy = int(rng.integers(h_lo, h_hi + 1))
+            hx = int(rng.integers(h_lo, h_hi + 1))
+            cy = int(rng.integers(hy, dims[0] - hy))
+            cx = int(rng.integers(hx, dims[1] - hx))
+            rect = Rect((cy, cx), (hy, hx), kind)
+            cells = set(rect.cells())
+            if all(cells.isdisjoint(set(p.cells())) for p in placed):
+                placed.append(rect)
+                break
+        else:
+            raise GenerationError(
+                f"could not place {kind} after {task.max_retries} retries (seed {seed})")
+    return WorldState(ActionGrid(dims), tuple(placed), seed)
+
+
+def meshgrid_logits(world, model):
+    """Reference synthesis with full meshgrid coordinate arrays."""
+    grid = world.grid
+    rng = np.random.default_rng(np.random.PCG64(splitmix64(world.episode_seed, 0xF1E1D)))
+    ys, xs = np.meshgrid(np.arange(grid.dims[0]), np.arange(grid.dims[1]),
+                         indexing="ij")
+    base = np.zeros(grid.dims)
+    for t in world.targets:
+        cy, cx = t.center
+        d2 = (ys - cy) ** 2 + (xs - cx) ** 2
+        base += np.exp(-0.5 * d2 / model.blob_sigma ** 2)
+    if model.noise_std > 0:
+        base += rng.normal(0.0, model.noise_std, size=grid.dims)
+    logits = model.gain * base
+    for d in world.distractors[:model.spike_count]:
+        logits[d.center] = model.gain * model.spike_logit
+    return LogitField(grid, logits.ravel()), flat_index(grid, world.targets[0].center)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GenerationError as exc:
+        return ("GenerationError", str(exc))
+
+
+@st.composite
+def placement_tasks(draw):
+    dims = (draw(st.integers(3, 24)), draw(st.integers(3, 24)))
+    h_max = (min(dims) - 1) // 2
+
+    def half_range():
+        lo = draw(st.integers(0, h_max))
+        return lo, draw(st.integers(lo, h_max))
+
+    return TaskConfig(dims=dims, n_targets=draw(st.integers(1, 3)),
+                      n_distractors=draw(st.integers(0, 12)),
+                      target_half_extent=half_range(),
+                      distractor_half_extent=half_range(),
+                      max_retries=draw(st.integers(1, 30)))
 
 
 class TestMakeWorld:
@@ -65,6 +143,19 @@ class TestMakeWorld:
         with pytest.raises(ParameterError):
             make_world(0, TaskConfig(n_targets=0))
 
+    @given(st.integers(0, 2**64 - 1), placement_tasks())
+    @settings(max_examples=300, deadline=None)
+    def test_interval_test_matches_set_based_placement(self, seed, task):
+        assert outcome(make_world, seed, task) == outcome(set_based_world, seed, task)
+
+    def test_crowded_grid_raises_on_the_same_seeds(self):
+        task = TaskConfig(dims=(12, 12), n_targets=3, n_distractors=10,
+                          target_half_extent=(1, 3), max_retries=10)
+        results = [outcome(make_world, s, task) for s in range(300)]
+        assert results == [outcome(set_based_world, s, task) for s in range(300)]
+        assert any(isinstance(r, tuple) for r in results)
+        assert any(isinstance(r, WorldState) for r in results)
+
 
 class TestSynthesizeLogits:
     def test_noiseless_greedy_hits_expert(self):
@@ -93,6 +184,20 @@ class TestSynthesizeLogits:
         b, eb = synthesize_logits(world, model)
         assert np.array_equal(a.values, b.values)
         assert ea == eb
+
+    @pytest.mark.parametrize("dims,n_targets,noise_std", [
+        ((64, 64), 1, 0.25), ((32, 48), 2, 0.0), ((17, 9), 3, 0.5)])
+    def test_matches_meshgrid_synthesis(self, dims, n_targets, noise_std):
+        task = TaskConfig(dims=dims, n_targets=n_targets, n_distractors=2,
+                          target_half_extent=(1, 2))
+        model = SynthModelConfig(gain=3.0, blob_sigma=1.7, spike_count=2,
+                                 noise_std=noise_std)
+        for i in range(20):
+            world = make_world(splitmix64(13, i), task)
+            logits, expert = synthesize_logits(world, model)
+            ref, ref_expert = meshgrid_logits(world, model)
+            assert np.array_equal(logits.values, ref.values)
+            assert expert == ref_expert
 
     def test_gain_recovered_by_fit(self):
         data = make_calibration_set(2000, 2.0, ActionGrid((64,)), seed=5)
@@ -175,6 +280,32 @@ class TestEvaluate:
         task, model = PRESETS["clean"]
         with pytest.raises(ParameterError):
             evaluate(0, 1, task, model, [GREEDY])
+
+    def test_empty_config_list(self):
+        task, model = PRESETS["clean"]
+        with pytest.raises(ParameterError):
+            evaluate(5, 1, task, model, [])
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_paired_modes_match_separate_runs(self, preset):
+        task, model = PRESETS[preset]
+        paired = evaluate(60, 23, task, model, ALL_MODES)
+        assert paired == [evaluate(60, 23, task, model, [c])[0] for c in ALL_MODES]
+
+    def test_single_config_and_iterable(self):
+        task, model = PRESETS["distractor-easy"]
+        assert evaluate(20, 4, task, model, UA) == evaluate(20, 4, task, model, [UA])
+        assert evaluate(20, 4, task, model, iter(ALL_MODES)) == \
+            evaluate(20, 4, task, model, ALL_MODES)
+
+    def test_run_episode_matches_evaluate(self):
+        task, model = PRESETS["distractor-hard"]
+        for cfg in ALL_MODES:
+            outs = [run_episode(make_world(splitmix64(8, i), task), model, cfg)
+                    for i in range(30)]
+            (rep,) = evaluate(30, 8, task, model, [cfg])
+            assert rep.successes == sum(o.success for o in outs)
+            assert rep.distractor_hits == sum(o.hit_distractor for o in outs)
 
 
 class TestCalibrationOrdering:
