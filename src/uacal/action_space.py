@@ -107,20 +107,21 @@ def coords_of(grid: ActionGrid, idx: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _delta_distance(delta: np.ndarray, units: np.ndarray, kind: str) -> float:
+def _lengths(delta: np.ndarray, units: np.ndarray, kind: str) -> np.ndarray:
+    """Metric length of each coordinate offset along the last axis of ``delta``."""
     scaled = np.abs(delta) * units
     if kind == "euclidean":
-        return float(np.sqrt(np.sum(scaled * scaled)))
+        return np.sqrt(np.sum(scaled * scaled, axis=-1))
     if kind == "chebyshev":
-        return float(np.max(scaled))
-    return float(np.sum(scaled))
+        return np.max(scaled, axis=-1)
+    return np.sum(scaled, axis=-1)
 
 
 def distance(grid: ActionGrid, m: Metric, a: int, b: int) -> float:
     """Metric distance between two actions given by flat index."""
     ca = np.asarray(coords_of(grid, a), dtype=np.float64)
     cb = np.asarray(coords_of(grid, b), dtype=np.float64)
-    return _delta_distance(ca - cb, m.axis_units(grid), m.kind)
+    return float(_lengths(ca - cb, m.axis_units(grid), m.kind))
 
 
 def ball_reach(grid: ActionGrid, m: Metric, tau: float) -> list[int]:
@@ -148,23 +149,12 @@ def ball_offsets(grid: ActionGrid, m: Metric, tau: float) -> np.ndarray:
     The metric is translation invariant on coordinates, so the tau-ball
     around any action is this stencil clipped to the grid. Each axis's
     reach is capped at dims - 1, since a longer offset never lands on the
-    grid. Shape (n_offsets, ndim); empty when tau <= 0.
+    grid. Shape (n_offsets, ndim); empty when tau == 0, as every length is >= 0.
     """
-    reach = ball_reach(grid, m, tau)
-    if tau == 0:
-        return np.empty((0, grid.ndim), dtype=np.int64)
-    units = m.axis_units(grid)
-    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in reach]
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in ball_reach(grid, m, tau)]
     mesh = np.meshgrid(*axes, indexing="ij")
     offs = np.stack([g.ravel() for g in mesh], axis=-1)
-    scaled = np.abs(offs) * units
-    if m.kind == "euclidean":
-        dist = np.sqrt(np.sum(scaled * scaled, axis=1))
-    elif m.kind == "chebyshev":
-        dist = np.max(scaled, axis=1)
-    else:
-        dist = np.sum(scaled, axis=1)
-    return offs[dist < tau]
+    return offs[_lengths(offs, m.axis_units(grid), m.kind) < tau]
 
 
 def neighborhood(grid: ActionGrid, m: Metric, a: int, tau: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from . import calibration, dataset_io, selection, simbench
-from .action_space import Metric, coords_of
+from .action_space import METRIC_KINDS, Metric, coords_of
 from .errors import FormatError, UacalError
 
 EXIT_OK = 0
@@ -128,8 +128,7 @@ def cmd_bench(args) -> int:
 
 
 def _add_selection_flags(p, tau_default=1.5):
-    p.add_argument("--metric", default="euclidean",
-                   choices=("euclidean", "chebyshev", "manhattan"))
+    p.add_argument("--metric", default="euclidean", choices=METRIC_KINDS)
     p.add_argument("--tau", type=float, default=tau_default)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--k", type=int, default=selection.DEFAULT_K)

@@ -29,29 +29,27 @@ MAGIC = b"UACL"
 VERSION = 1
 
 
-def _digest(data: bytes) -> str:
-    """16-hex-digit BLAKE2b-64 of a whole UACL file."""
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+def _digest(*buffers) -> str:
+    """16-hex-digit BLAKE2b-64 of a whole UACL file, given as its buffers in order."""
+    h = hashlib.blake2b(digest_size=8)
+    for b in buffers:
+        h.update(b)
+    return h.hexdigest()
 
 
-def dataset_bytes(grid: ActionGrid, samples) -> bytes:
-    parts = [MAGIC, struct.pack("<IB", VERSION, grid.ndim)]
-    parts.append(struct.pack(f"<{grid.ndim}I", *grid.dims))
-    parts.append(struct.pack("<Q", len(samples)))
-    for s in samples:
-        if not 0 <= s.task_id < 2**32:
-            raise ValidationError(f"task id {s.task_id} out of range [0, 2**32)")
-        parts.append(struct.pack("<IQ", s.task_id, s.expert))
-        parts.append(s.logits.values.astype("<f4").tobytes())
-    return b"".join(parts)
+def _record_dtype(grid: ActionGrid) -> np.dtype:
+    """The one packed UACL record layout, shared by the writer and the reader."""
+    return np.dtype([("task", "<u4"), ("expert", "<u8"), ("logits", "<f4", (grid.size,))])
 
 
 def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     """Serialize samples (all on one grid) to UACL; returns ``dataset_checksum``.
 
-    The checksum is provenance only and is never verified: a temperature is
-    normally applied to a held-out dataset, not the one it was fitted on.
-    ``grid`` is required only for an empty sample list.
+    Records pass ``read_batch``'s checks before the file is opened, so a logit
+    that overflows float32 is rejected, not written. The checksum is provenance
+    only and is never verified: a temperature is normally applied to a held-out
+    dataset, not the one it was fitted on. ``grid`` is required only for an
+    empty sample list.
     """
     samples = list(samples)
     if samples:
@@ -61,10 +59,22 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
         grid = samples[0].logits.grid
     elif grid is None:
         raise ValidationError("an empty dataset needs an explicit grid")
-    data = dataset_bytes(grid, samples)
+    for s in samples:
+        if not 0 <= s.task_id < 2**32:
+            raise ValidationError(f"task id {s.task_id} out of range [0, 2**32)")
+    rec = np.empty(len(samples), _record_dtype(grid))
+    rec["task"] = [s.task_id for s in samples]
+    rec["expert"] = [s.expert for s in samples]
+    with np.errstate(over="ignore"):  # an overflow to inf fails the finiteness check
+        for row, s in zip(rec["logits"], samples):
+            row[:] = s.logits.values
+    LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
+    header = MAGIC + struct.pack(f"<IB{grid.ndim}IQ", VERSION, grid.ndim, *grid.dims,
+                                 len(samples))
     with open(path, "wb") as fh:
-        fh.write(data)
-    return _digest(data)
+        fh.write(header)
+        fh.write(rec)
+    return _digest(header, rec)
 
 
 def dataset_checksum(path) -> str:
@@ -98,7 +108,7 @@ def read_header(fh):
 
 
 def expected_length(grid: ActionGrid, n_samples: int) -> int:
-    return 9 + 4 * grid.ndim + 8 + n_samples * (12 + 4 * grid.size)
+    return 9 + 4 * grid.ndim + 8 + n_samples * _record_dtype(grid).itemsize
 
 
 def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:
@@ -115,8 +125,7 @@ def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:
         fh.seek(0)
         if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")
-    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=[
-        ("task", "<u4"), ("expert", "<u8"), ("logits", "<f4", (grid.size,))])
+    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=_record_dtype(grid))
     try:
         batch = LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
     except ValidationError as exc:
@@ -184,16 +193,13 @@ def read_temperature_file(path):
 
 
 def write_reliability_csv(path, table) -> None:
-    """CSV: bin_lo,bin_hi,count,mean_confidence,accuracy (17 sig digits)."""
+    """CSV: bin_lo,bin_hi,count,mean_confidence,accuracy (17 sig digits); an
+    empty bin leaves its mean confidence and accuracy blank."""
+    def cell(x):
+        return "" if np.isnan(x) else f"{x:.17g}"
     lines = ["bin_lo,bin_hi,count,mean_confidence,accuracy"]
-    for i in range(table.n_bins):
-        lo = table.bin_edges[i]
-        hi = table.bin_edges[i + 1]
-        c = int(table.counts[i])
-        conf = table.mean_confidence[i]
-        acc = table.accuracy[i]
-        conf_s = "" if np.isnan(conf) else f"{conf:.17g}"
-        acc_s = "" if np.isnan(acc) else f"{acc:.17g}"
-        lines.append(f"{lo:.17g},{hi:.17g},{c},{conf_s},{acc_s}")
+    for lo, hi, c, conf, acc in zip(table.bin_edges[:-1], table.bin_edges[1:], table.counts,
+                                    table.mean_confidence, table.accuracy):
+        lines.append(f"{lo:.17g},{hi:.17g},{int(c)},{cell(conf)},{cell(acc)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

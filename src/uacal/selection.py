@@ -92,6 +92,11 @@ def _result_from_scores(scores: np.ndarray, actions: np.ndarray | None = None,
     return SelectionResult(action, best, gap, int(scores.size), flags)
 
 
+def _empty_neighborhoods(p: ProbField) -> SelectionResult:
+    """Every aggregation mode at tau == 0, where each strict d < tau ball is empty."""
+    return SelectionResult(0, 0.0, 0.0, p.grid.size, ("degenerate_neighborhood",))
+
+
 def greedy_select(p: ProbField) -> SelectionResult:
     """Pick the action with maximum probability (lowest index on ties)."""
     return _result_from_scores(p.values)
@@ -153,9 +158,7 @@ def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
 def ua_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     """Exact neighborhood-aggregation selection (any metric)."""
     if cfg.tau == 0.0:
-        # strict < makes every neighborhood empty
-        return SelectionResult(0, 0.0, 0.0, p.grid.size,
-                               ("degenerate_neighborhood",))
+        return _empty_neighborhoods(p)
     sums = neighborhood_sums(p.grid, p.values, cfg.metric, cfg.tau)
     return _result_from_scores(sums)
 
@@ -187,8 +190,7 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if p.grid.ndim > 3:
         raise UnsupportedConfigError("ua_select_fast supports 1-3 axis grids")
     if cfg.tau == 0.0:
-        return SelectionResult(0, 0.0, 0.0, p.grid.size,
-                               ("degenerate_neighborhood",))
+        return _empty_neighborhoods(p)
     reach = ball_reach(p.grid, cfg.metric, cfg.tau)
     field = np.asarray(p.values, dtype=np.float64).reshape(p.grid.dims)
     sums = _separable_sums(field, [np.ones(2 * h + 1) for h in reach])
@@ -202,6 +204,8 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     window around the retained mean, grown by the stencil reach so every
     window cell sees its whole clipped neighborhood.
     """
+    if cfg.tau == 0.0:
+        return _empty_neighborhoods(p)
     grid = p.grid
     values = p.values
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / grid.size

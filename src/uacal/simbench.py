@@ -214,11 +214,10 @@ def evaluate(n_episodes: int, base_seed: int, task: TaskConfig,
 
 
 def make_calibration_set(n_samples: int, gain: float, grid: ActionGrid,
-                         seed: int, task_id: int = 0,
-                         base_scale: float = 1.0) -> list[CalibrationSample]:
+                         seed: int, task_id: int = 0) -> list[CalibrationSample]:
     """Synthetic calibration samples with a known miscalibration gain.
 
-    Per sample: true logits ~ N(0, base_scale^2) iid over the grid, expert
+    Per sample: true logits ~ N(0, 1) iid over the grid, expert
     drawn from softmax(true logits), stored logits = gain * true logits.
     fit_temperature on the result should recover the gain.
     """
@@ -227,7 +226,7 @@ def make_calibration_set(n_samples: int, gain: float, grid: ActionGrid,
     rng = np.random.default_rng(np.random.PCG64(splitmix64(seed, task_id)))
     samples = []
     for _ in range(n_samples):
-        true = rng.normal(0.0, base_scale, size=grid.size)
+        true = rng.normal(0.0, 1.0, size=grid.size)
         z = np.exp(true - true.max())
         probs = z / z.sum()
         expert = int(rng.choice(grid.size, p=probs))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,14 +33,19 @@ def random_samples(rng, grid, n, tasks=1):
             for _ in range(n)]
 
 
+F32_LOGITS = st.floats(width=32, allow_nan=False, allow_infinity=False)
+# float64 logits inside float32's range, most of which float32 must round
+F64_LOGITS = st.floats(-3e38, 3e38)
+
+
 @st.composite
-def f32_datasets(draw, min_samples=0):
-    """(grid, samples) on a 1-4 axis grid with f32-representable logits."""
+def f32_datasets(draw, min_samples=0, elements=F32_LOGITS):
+    """(grid, samples) on a 1-4 axis grid; logits from ``elements``, by default
+    f32-representable."""
     naxes = draw(st.integers(1, 4))
     grid = ActionGrid(tuple(draw(st.lists(st.integers(1, 3), min_size=naxes,
                                           max_size=naxes))))
-    logits = arrays(np.float64, grid.size,
-                    elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+    logits = arrays(np.float64, grid.size, elements=elements)
     samples = [CalibrationSample(LogitField(grid, draw(logits)),
                                  draw(st.integers(0, grid.size - 1)),
                                  draw(st.integers(0, 2**32 - 1)))
@@ -61,6 +66,15 @@ def reference_records(path) -> list:
         records.append((task, expert, struct.unpack_from(f"<{size}f", raw, at + 12)))
         at += 12 + 4 * size
     return records
+
+
+def struct_file(grid, samples) -> bytes:
+    """A whole UACL file packed one record at a time with struct, independently
+    of the library's writer."""
+    parts = [b"UACL", struct.pack(f"<IB{grid.ndim}IQ", 1, grid.ndim, *grid.dims, len(samples))]
+    for s in samples:
+        parts.append(struct.pack(f"<IQ{grid.size}f", s.task_id, s.expert, *s.logits.values))
+    return b"".join(parts)
 
 
 def written(grid, samples, tmp: str) -> Path:
@@ -140,6 +154,17 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=rf"task id {task_id}\b"):
             write_dataset(tmp_path / "d.uacl", [sample])
 
+    @pytest.mark.parametrize("k, big", [(0, 1e39), (2, -1e39)])
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, rng, k, big):
+        grid = ActionGrid((2,))
+        samples = random_samples(rng, grid, 3)
+        samples[k] = CalibrationSample(LogitField(grid, [0.0, big]), 1)
+        path = tmp_path / "d.uacl"
+        path.write_bytes(b"earlier contents")
+        with pytest.raises(ValidationError, match=rf"record {k}: .*finite"):
+            write_dataset(path, samples)
+        assert path.read_bytes() == b"earlier contents"
+
 
 class TestCorruption:
     def _write(self, tmp_path, rng, n=3):
@@ -206,6 +231,18 @@ class TestFormatProperties:
             [(s.expert, s.task_id) for s in samples]
         for b, s in zip(back, samples):
             assert np.array_equal(b.logits.values, s.logits.values)
+
+    @given(f32_datasets(elements=F64_LOGITS))
+    @example((ActionGrid((3,)), [CalibrationSample(LogitField(ActionGrid((3,)),
+                                                              [0.1, -1 / 3, 3e38]), 2, 2**32 - 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_write_matches_struct_packing(self, dataset):
+        grid, samples = dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.uacl"
+            checksum = write_dataset(path, samples, grid=grid)
+            assert path.read_bytes() == struct_file(grid, samples)
+            assert checksum == dataset_checksum(path)
 
     @given(f32_datasets())
     @settings(max_examples=60, deadline=None)

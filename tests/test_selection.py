@@ -18,6 +18,7 @@ from uacal.calibration import LogitField, ProbField, apply_temperature, softmax
 from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
     SelectionConfig,
+    SelectionResult,
     _separable_sums,
     _shifted_sums,
     gaussian_blur,
@@ -376,6 +377,15 @@ class TestDispatch:
     def test_bad_mode_rejected(self):
         with pytest.raises(ParameterError):
             SelectionConfig(mode="conformal")
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, 1.0])
+    def test_tau_zero_degenerate_in_every_aggregation_mode(self, rng, alpha):
+        # alpha 0 retains every cell, 1 none; at tau 0 neither matters
+        p = random_prob_field(rng, ActionGrid((8, 8)))
+        want = SelectionResult(0, 0.0, 0.0, 64, ("degenerate_neighborhood",))
+        for mode in ("ua_exact", "ua_fast", "ua_restricted"):
+            assert select(p, SelectionConfig(metric=CHEB, tau=0.0, alpha=alpha,
+                                             mode=mode)) == want
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_tau_and_sigma_rejected(self, bad):
