@@ -10,6 +10,7 @@ from .calibration import (
     ReliabilityTable,
     TemperatureModel,
     apply_temperature,
+    calibration_report,
     ece,
     entropy,
     fit_temperature,

@@ -3,9 +3,12 @@
 A scalar temperature T divides the logits before softmax. T is fitted by
 minimizing mean negative log-likelihood of the expert actions on a
 calibration set, which is convex in beta = 1/T, via safeguarded Newton
-steps on beta. The NLL is an exact log-softmax computed in bounded row
-blocks of a ``LogitBatch`` or of a list of ``CalibrationSample``s, which
-give bit-identical results. Diagnostics cover expected calibration error
+steps on beta. One blocked pass over a ``LogitBatch`` or a list of
+``CalibrationSample``s (bit-identical results) yields each row block's
+shifted logits z, e = exp(z) and the row sums s; the NLL and its
+derivatives, the reliability table and the entropy all come from those
+three arrays, so each logit is exponentiated once per pass, and the NLL is
+an exact log-softmax at every T. Diagnostics cover expected calibration error
 (ECE), reliability binning, and entropy. All arithmetic is float64
 regardless of storage precision.
 """
@@ -170,14 +173,17 @@ def apply_temperature(f: LogitField, T: float) -> ProbField:
     return ProbField(f.grid, _softmax64(f.values / _checked_temperature(T)))
 
 
-def _log_softmax_blocks(data, T: float):
-    """Yield (log-softmax of logits / T, experts, task ids) over row blocks.
+def _softmax_blocks(data, T: float):
+    """Yield (z, e, s, experts, task ids) over row blocks of logits / T.
 
-    Each row is z - logsumexp(z) with z = logits / T, exact at any T. data is
-    a LogitBatch or a sequence of CalibrationSamples, and this is the only
-    place the two differ. Both split into the same blocks of at most
-    _BLOCK_BYTES of float64 (or one row, if a row is larger), so they give
-    bit-identical results and memory does not grow with n.
+    z is logits / T less its row maximum (so each row's max is exactly 0),
+    e = exp(z) and s is e's row sum: log-softmax is z - log(s), exact at any
+    T, and the softmax is e / s. data is a LogitBatch or a sequence of
+    CalibrationSamples, and this is the only place the two differ. Both split
+    into the same blocks of at most _BLOCK_BYTES of float64 (or one row, if
+    a row is larger), so they give bit-identical results and memory does
+    not grow with n. z and e are new arrays for each block, so callers may
+    overwrite them.
     """
     batch = isinstance(data, LogitBatch)
     data = data if batch else list(data)
@@ -188,40 +194,40 @@ def _log_softmax_blocks(data, T: float):
     rows = max(1, _BLOCK_BYTES // (8 * grid.size))
     for i in range(0, len(data), rows):
         if batch:
-            z = data.logits[i:i + rows].astype(np.float64)
+            z = np.divide(data.logits[i:i + rows], T, dtype=np.float64)
             experts, tasks = data.experts[i:i + rows], data.task_ids[i:i + rows]
         else:
             block = data[i:i + rows]
             if any(s.logits.grid is not grid and s.logits.grid != grid for s in block):
                 raise ValidationError("all samples must share a single grid")
             z = np.stack([s.logits.values for s in block])
+            z /= T
             experts = np.array([s.expert for s in block])
             tasks = np.array([s.task_id for s in block])
-        z /= T
         z -= z.max(axis=1, keepdims=True)
-        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-        yield z, experts, tasks
+        e = np.exp(z)
+        yield z, e, e.sum(axis=1), experts, tasks
 
 
 def _nll_pass(data, T: float, moments: bool = False):
     """Mean NLL at T; with moments, (NLL, gradient, curvature, flat), where the
-    derivatives in beta = 1/T are mean(E_p[z] - z_expert) and mean(Var_p[z])
-    over the raw logits z, and flat means every row is constant."""
+    derivatives in beta = 1/T are mean(E_p[x] - x_expert) and mean(Var_p[x])
+    over the raw logits x, and flat means every row is constant."""
     picked, grads, curvs, flat = [], [], [], True
-    for logp, experts, _ in _log_softmax_blocks(data, T):
-        picked.append(np.take_along_axis(logp, experts[:, None], axis=1)[:, 0])
-        if moments:  # logp is z / T less a per-row constant: scale by T and T^2
-            p = np.exp(logp)
-            mean = np.einsum("ij,ij->i", p, logp)
-            dev = logp - mean[:, None]
-            grads.append(mean - picked[-1])
-            curvs.append(np.einsum("ij,ij->i", p * dev, dev))
-            flat = flat and bool((logp == logp[:, :1]).all())
+    for z, e, s, experts, _ in _softmax_blocks(data, T):
+        z_expert = z[np.arange(len(z)), experts]
+        picked.append(z_expert - np.log(s))
+        if moments:  # z is x / T less a per-row constant: scale by T and T^2
+            flat = flat and z.min() == 0.0  # z <= 0 is 0 only at a row's max values
+            mean = np.einsum("ij,ij->i", e, z) / s
+            grads.append(mean - z_expert)
+            z -= mean[:, None]
+            curvs.append(np.einsum("ij,ij,ij->i", e, z, z) / s)
     value = -float(np.concatenate(picked).mean())
     if not moments:
         return value
     grad, curv = (float(np.concatenate(x).mean()) for x in (grads, curvs))
-    return value, T * grad, T * T * curv, flat
+    return value, T * grad, T * T * curv, bool(flat)
 
 
 def nll(data, T: float) -> float:
@@ -261,14 +267,24 @@ def fit_temperature(data) -> TemperatureModel:
     return TemperatureModel(1.0 / beta, value, passes, at_bound=pinned)
 
 
-def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
-    """Equal-width confidence binning: count, mean confidence, accuracy per bin."""
+def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
+                       ) -> tuple[ReliabilityTable, dict[int, float]]:
+    """(ReliabilityTable, {task id: max entropy}) at T from one blocked pass.
+
+    The table bins each row's top softmax probability into n_bins equal-width
+    bins on [0, 1] with its hit (argmax == expert, lowest index among ties);
+    a row's entropy in nats is log(s) - E_p[z].
+    """
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
-    confs, hits = [], []
-    for logp, experts, _ in _log_softmax_blocks(data, T):
-        confs.append(np.exp(logp.max(axis=1)))
-        hits.append(logp.argmax(axis=1) == experts)  # lowest index among ties
+    confs, hits, ids, highs = [], [], [], []
+    for z, e, s, experts, tasks in _softmax_blocks(data, T):
+        log_s = np.log(s)
+        highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
+        ids.append(tasks)
+        z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
+        confs.append(np.exp(-log_s))
+        hits.append(z.argmax(axis=1) == experts)
     conf = np.concatenate(confs)
     correct = np.concatenate(hits)
     # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
@@ -280,7 +296,16 @@ def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> Reliab
         mean_conf = np.where(counts > 0, conf_sum / counts, np.nan)
         acc = np.where(counts > 0, hit_sum / counts, np.nan)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    return ReliabilityTable(edges, counts, mean_conf, acc)
+    tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
+    best = np.zeros(len(tasks))
+    np.maximum.at(best, which, np.concatenate(highs))
+    return (ReliabilityTable(edges, counts, mean_conf, acc),
+            dict(zip(tasks.tolist(), best.tolist())))
+
+
+def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
+    """Equal-width confidence binning: count, mean confidence, accuracy per bin."""
+    return calibration_report(data, T, n_bins)[0]
 
 
 def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
@@ -290,14 +315,7 @@ def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
 
 def max_entropy_by_task(data, T: float = 1.0) -> dict[int, float]:
     """Largest softmax entropy (nats) at temperature T among each task's rows."""
-    ids, highs = [], []
-    for logp, _, tasks in _log_softmax_blocks(data, T):
-        ids.append(tasks)
-        highs.append(-np.einsum("ij,ij->i", np.exp(logp), logp))
-    tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
-    best = np.zeros(len(tasks))
-    np.maximum.at(best, which, np.concatenate(highs))
-    return dict(zip(tasks.tolist(), best.tolist()))
+    return calibration_report(data, T)[1]
 
 
 def entropy(p: ProbField) -> float:

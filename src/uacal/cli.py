@@ -79,10 +79,10 @@ def cmd_calibrate(args) -> int:
 def cmd_report(args) -> int:
     batch = _filter_task(dataset_io.read_batch(args.dataset), args.task)
     T = _resolve_temperature(args.temperature)
-    table = calibration.reliability_bins(batch, T, args.bins)
+    table, max_entropy = calibration.calibration_report(batch, T, args.bins)
     dataset_io.write_reliability_csv(args.out, table)
     print(f"ece {table.ece():.17g}")
-    for tid, h in sorted(calibration.max_entropy_by_task(batch, T).items()):
+    for tid, h in sorted(max_entropy.items()):
         print(f"task {tid} max_entropy {h:.17g}")
     return EXIT_OK
 

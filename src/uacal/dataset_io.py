@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import FormatError, ValidationError
 
 MAGIC = b"UACL"
 VERSION = 1
+_BLOCK_BYTES = 1 << 20  # record bytes per block that read_dataset reads
 
 
 def _digest(*buffers) -> str:
@@ -111,25 +113,38 @@ def expected_length(grid: ActionGrid, n_samples: int) -> int:
     return 9 + 4 * grid.ndim + 8 + n_samples * _record_dtype(grid).itemsize
 
 
+def _open_records(fh) -> tuple[ActionGrid, int, np.dtype]:
+    """Validate fh's header and file length; return (grid, n_samples, record
+    dtype) with fh at the first record."""
+    grid, n_samples = read_header(fh)
+    size, want = os.fstat(fh.fileno()).st_size, expected_length(grid, n_samples)
+    if size != want:
+        raise FormatError(f"file length {size} does not match expected {want} "
+                          f"for {n_samples} samples on dims {grid.dims}")
+    return grid, n_samples, _record_dtype(grid)
+
+
+def _checked_records(grid: ActionGrid, rec: np.ndarray, first: int = 0) -> LogitBatch:
+    """LogitBatch over a record array whose first record is record ``first``
+    of its file; a bad record raises FormatError naming its file ordinal."""
+    try:
+        return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
+    except ValidationError as exc:
+        message = re.sub(r"^record (\d+):", lambda m: f"record {first + int(m[1])}:", str(exc))
+        raise FormatError(message) from exc
+
+
 def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:
     """read_batch, plus the file's ``dataset_checksum`` when asked for, taken
     from the same bytes so the file is read once."""
     with open(path, "rb") as fh:
-        grid, n_samples = read_header(fh)
-        head = fh.tell()
-        size, want = os.fstat(fh.fileno()).st_size, expected_length(grid, n_samples)
-        if size != want:
-            raise FormatError(f"file length {size} does not match expected {want} "
-                              f"for {n_samples} samples on dims {grid.dims}")
+        grid, n_samples, dtype = _open_records(fh)
+        head, size = fh.tell(), expected_length(grid, n_samples)
         data = bytearray(size)
         fh.seek(0)
         if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")
-    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=_record_dtype(grid))
-    try:
-        batch = LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from exc
+    batch = _checked_records(grid, np.frombuffer(data, offset=head, count=n_samples, dtype=dtype))
     return batch, _digest(data) if checksum else None
 
 
@@ -140,10 +155,22 @@ def read_batch(path) -> LogitBatch:
 
 
 def read_dataset(path) -> list[CalibrationSample]:
-    """Parse and validate a UACL file into calibration samples."""
-    batch = read_batch(path)
-    return [CalibrationSample(LogitField(batch.grid, row), expert, task) for row, expert, task
-            in zip(batch.logits, batch.experts.tolist(), batch.task_ids.tolist())]
+    """Parse and validate a UACL file into calibration samples, reading and
+    checking about _BLOCK_BYTES of records at a time, so the file's bytes are
+    never held whole next to the float64 samples. Each block's logits are
+    cast to float64 once; its samples hold read-only rows of that array."""
+    samples = []
+    with open(path, "rb") as fh:
+        grid, n_samples, dtype = _open_records(fh)
+        rows = max(1, _BLOCK_BYTES // dtype.itemsize)
+        for first in range(0, n_samples, rows):
+            count = min(rows, n_samples - first)
+            raw = _read_exact(fh, count * dtype.itemsize, f"records {first}-{first + count - 1}")
+            batch = _checked_records(grid, np.frombuffer(raw, dtype), first)
+            samples += [CalibrationSample(LogitField(grid, row), expert, task) for row, expert, task
+                        in zip(batch.logits.astype(np.float64), batch.experts.tolist(),
+                               batch.task_ids.tolist())]
+    return samples
 
 
 def count_samples(path) -> int:
@@ -167,8 +194,10 @@ def write_temperature_file(path, model: TemperatureModel, checksum: str) -> None
 
 
 def read_temperature_file(path):
-    """Returns (TemperatureModel, checksum); a missing flag line reads as false."""
-    fields = {}
+    """Returns (TemperatureModel, checksum); a missing flag line reads as false.
+    A missing field or a value that does not parse (a flag is true or false)
+    raises FormatError naming the field."""
+    fields = {"degenerate": "false", "at_bound": "false"}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -178,18 +207,29 @@ def read_temperature_file(path):
                 raise FormatError(f"bad temperature-file line: {line!r}")
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    try:
-        model = TemperatureModel(
-            temperature=float(fields["temperature"]),
-            final_nll=float(fields["final_nll"]),
-            iterations=int(fields["iterations"]),
-            degenerate=fields.get("degenerate", "false") == "true",
-            at_bound=fields.get("at_bound", "false") == "true",
-        )
-        checksum = fields["dataset_checksum"]
-    except KeyError as exc:
-        raise FormatError(f"temperature file missing field {exc}") from exc
-    return model, checksum
+
+    def field(key, parse=str):
+        try:
+            return parse(fields[key])
+        except KeyError:
+            raise FormatError(f"temperature file missing field {key!r}") from None
+        except ValueError as exc:
+            raise FormatError(f"temperature file field {key} = {fields[key]!r} "
+                              f"is not a valid {parse.__name__}") from exc
+
+    def flag(value: str) -> bool:
+        if value not in ("true", "false"):
+            raise ValueError(value)
+        return value == "true"
+
+    model = TemperatureModel(
+        temperature=field("temperature", float),
+        final_nll=field("final_nll", float),
+        iterations=field("iterations", int),
+        degenerate=field("degenerate", flag),
+        at_bound=field("at_bound", flag),
+    )
+    return model, field("dataset_checksum")
 
 
 def write_reliability_csv(path, table) -> None:

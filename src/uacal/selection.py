@@ -197,6 +197,19 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     return _result_from_scores(sums.ravel())
 
 
+def _top_k(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """The k of the ascending flat ``indices`` with the highest ``values``,
+    ties by lowest index, still ascending: every index above the k-th largest
+    value, then the lowest-index ties at it. O(n), where a sort is O(n log n)."""
+    if indices.size <= k:
+        return indices
+    v = values[indices]
+    kth = np.partition(v, v.size - k)[v.size - k]
+    keep = v > kth
+    keep[np.flatnonzero(v == kth)[:k - np.count_nonzero(keep)]] = True
+    return indices[keep]
+
+
 def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     """Restricted-search aggregation around the high-probability region.
 
@@ -213,10 +226,7 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if retained.size == 0:
         res = greedy_select(p)
         return replace(res, flags=res.flags + ("empty_retained_fallback",))
-    if retained.size > cfg.k:
-        # k highest probabilities, ties by lowest flat index
-        order = np.lexsort((retained, -values[retained]))
-        retained = np.sort(retained[order[:cfg.k]])
+    retained = _top_k(retained, values, cfg.k)
 
     dims = np.asarray(grid.dims, dtype=np.int64)
     r_coords = np.stack(np.unravel_index(retained, grid.dims), axis=-1)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,43 @@ def batch_of(samples):
 def c4_data(gain):
     """C4's calibration set (tests/test_acceptance.py) for one gain."""
     return make_calibration_set(2000, gain, ActionGrid((64,)), seed=987654321 + 3)
+
+
+def reference_nll(logits, experts, T):
+    """Mean of -(z[e] - logsumexp(z)) over rows, one row at a time, with
+    z = logits / T less the row max."""
+    picked = []
+    for x, e in zip(logits, experts):
+        z = np.asarray(x, dtype=np.float64) / T
+        z -= z.max()
+        picked.append(z[e] - np.log(np.exp(z).sum()))
+    return -float(np.mean(picked))
+
+
+def two_exp_pass(data, T, moments=False):
+    """The NLL pass as it was before the single-exp kernel: log-softmax,
+    then p = exp(logp) again for the moments. For a LogitBatch only."""
+    picked, grads, curvs, flat = [], [], [], True
+    rows = max(1, calibration._BLOCK_BYTES // (8 * data.grid.size))
+    for i in range(0, len(data), rows):
+        logp = data.logits[i:i + rows].astype(np.float64)
+        logp /= T
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        experts = data.experts[i:i + rows]
+        picked.append(np.take_along_axis(logp, experts[:, None], axis=1)[:, 0])
+        if moments:
+            p = np.exp(logp)
+            mean = np.einsum("ij,ij->i", p, logp)
+            dev = logp - mean[:, None]
+            grads.append(mean - picked[-1])
+            curvs.append(np.einsum("ij,ij->i", p * dev, dev))
+            flat = flat and bool((logp == logp[:, :1]).all())
+    value = -float(np.concatenate(picked).mean())
+    if not moments:
+        return value
+    grad, curv = (float(np.concatenate(x).mean()) for x in (grads, curvs))
+    return value, T * grad, T * T * curv, flat
 
 
 class TestFieldTypes:
@@ -308,6 +346,59 @@ class TestBatchInput:
                      lambda: reliability_bins(samples), lambda: max_entropy_by_task(samples)):
             with pytest.raises(ValidationError, match="all samples must share a single grid"):
                 call()
+
+
+class TestSingleExpPass:
+    """The pass exponentiates each logit once; its NLL is the log-softmax's."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, None])
+    @pytest.mark.parametrize("T", [0.01, 0.37, 1.0, 4.0, 100.0])
+    def test_nll_bit_identical_to_logsumexp_reference(self, rng, rows_per_block, T):
+        size = 24
+        samples = [sample(rng.normal(0, 5, size=size).astype(np.float32),
+                          int(rng.integers(0, size))) for _ in range(10)]
+        batch = batch_of(samples)
+        block = calibration._BLOCK_BYTES if rows_per_block is None else 8 * size * rows_per_block
+        want = reference_nll(batch.logits, batch.experts, T)
+        with mock.patch.object(calibration, "_BLOCK_BYTES", block):
+            assert nll(batch, T) == want
+            assert nll(samples, T) == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fit_no_worse_than_two_exp_moments(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 200))
+        data = make_calibration_set(int(rng.integers(1, 300)), float(rng.uniform(0.3, 6.0)),
+                                    ActionGrid((size,)), seed=seed)
+        batch = batch_of(data)
+        model = fit_temperature(batch)
+        with mock.patch.object(calibration, "_nll_pass", two_exp_pass):
+            ref = fit_temperature(batch)
+        assert model.iterations == ref.iterations
+        assert model.temperature == pytest.approx(ref.temperature, rel=1e-10)
+        # both stop within the same log-T tolerance of the minimiser, where the
+        # NLL is flat to its last bits: allow the rounding of one pass
+        assert model.final_nll <= ref.final_nll + 4 * math.ulp(ref.final_nll)
+
+    def test_rows_equal_only_after_subtracting_log_s_are_not_flat(self):
+        # z = [0, -1e-17]: e = [1, 1], s = 2, and both log-softmax entries round
+        # to -log 2, but the row is not constant, so the NLL does depend on T
+        data = [sample([0.0, -1e-17], 0) for _ in range(3)]
+        logp = np.array([0.0, -1e-17]) - math.log(2.0)
+        assert logp[0] == logp[1]
+        assert not calibration._nll_pass(data, 1.0, moments=True)[3]
+        assert not fit_temperature(data).degenerate
+        assert calibration._nll_pass([sample([2.0, 2.0], 0)], 1.0, moments=True)[3]
+
+    def test_one_report_pass_matches_the_wrappers(self, rng):
+        samples = [sample(rng.normal(0, 2, size=12), int(rng.integers(0, 12)),
+                          int(rng.integers(0, 3))) for _ in range(40)]
+        table, highs = calibration.calibration_report(samples, 1.7, 9)
+        alone = reliability_bins(samples, 1.7, 9)
+        for field_name in ("bin_edges", "counts", "mean_confidence", "accuracy"):
+            assert np.array_equal(getattr(table, field_name), getattr(alone, field_name),
+                                  equal_nan=True)
+        assert highs == max_entropy_by_task(samples, 1.7)
 
 
 class TestMaxEntropyByTask:

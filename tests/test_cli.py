@@ -184,6 +184,19 @@ class TestReport:
                        for s in samples if s.task_id == tid)
             assert got[tid] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("line", ["temperature = abc", "iterations = x"])
+    def test_malformed_temperature_file_exit_2(self, dataset, tmp_path, capsys, line):
+        path, _ = dataset
+        temp = tmp_path / "t.txt"
+        run(capsys, "calibrate", "--dataset", path, "--out", temp)
+        key = line.split()[0]
+        temp.write_text("".join(line + "\n" if l.startswith(key + " ") else l
+                                for l in temp.read_text().splitlines(keepends=True)))
+        code = main(["report", "--dataset", str(path), "--temperature", str(temp),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"field {key}" in capsys.readouterr().err
+
     def test_bad_bins_exit_3(self, dataset, tmp_path, capsys):
         path, _ = dataset
         code, _ = run(capsys, "report", "--dataset", path, "--bins", "0",

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -334,6 +335,70 @@ class TestReadBatch:
                 assert np.array_equal(a.mean_confidence, b.mean_confidence, equal_nan=True)
 
 
+class TestStreamingReadDataset:
+    """read_dataset reads _BLOCK_BYTES of records at a time; patched here to
+    a few records, so a small file spans many blocks."""
+
+    @staticmethod
+    def blocks_of(grid, records):
+        return mock.patch.object(dataset_io, "_BLOCK_BYTES",
+                                 expected_length(grid, records) - expected_length(grid, 0))
+
+    @pytest.mark.parametrize("k", [0, 2, 3, 7, 10])
+    @pytest.mark.parametrize("bad", ["expert", "logit"])
+    def test_corrupt_record_in_a_later_block_names_its_ordinal(self, tmp_path, rng, k, bad):
+        grid = ActionGrid((2, 3))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 11))
+        raw = bytearray(path.read_bytes())
+        start = expected_length(grid, k)
+        if bad == "expert":
+            raw[start + 4:start + 12] = struct.pack("<Q", grid.size)
+        else:
+            raw[start + 12 + 8:start + 16 + 8] = struct.pack("<f", np.inf)
+        path.write_bytes(bytes(raw))
+        with self.blocks_of(grid, 3), pytest.raises(FormatError, match=rf"^record {k}:"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("cut", [1, 5, 13, 40])
+    def test_truncation_inside_a_block_rejected(self, tmp_path, rng, cut):
+        grid = ActionGrid((5,))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 9))
+        # inside the third block of three records: record 7, cut bytes in
+        path.write_bytes(path.read_bytes()[:expected_length(grid, 7) + cut])
+        with self.blocks_of(grid, 3), pytest.raises(FormatError):
+            read_dataset(path)
+
+    def test_agrees_with_read_batch_across_blocks(self, tmp_path, rng):
+        grid = ActionGrid((3, 3))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 10, tasks=4))
+        batch = read_batch(path)
+        with self.blocks_of(grid, 4):
+            listed = read_dataset(path)
+        assert [s.expert for s in listed] == batch.experts.tolist()
+        assert [s.task_id for s in listed] == batch.task_ids.tolist()
+        assert np.array_equal(np.stack([s.logits.values for s in listed]), batch.logits)
+
+    def test_peak_memory_is_the_samples_plus_two_blocks(self, tmp_path, rng):
+        grid = ActionGrid((8, 8))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 400))
+        block = expected_length(grid, 50) - expected_length(grid, 0)
+        with self.blocks_of(grid, 50):
+            tracemalloc.start()
+            try:
+                samples = read_dataset(path)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the file is eight blocks; holding it whole would exceed the bound
+        assert len(samples) == 400 and path.stat().st_size > 8 * block
+        assert kept >= 400 * 8 * grid.size  # the float64 logits
+        assert peak <= kept + 2 * block
+
+
 class TestTemperatureFile:
     def test_round_trip(self, tmp_path):
         model = TemperatureModel(2.125, 0.4375, 31)
@@ -371,6 +436,18 @@ class TestTemperatureFile:
         path = tmp_path / "temp.txt"
         path.write_text("temperature = 2.0\n")
         with pytest.raises(FormatError):
+            read_temperature_file(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("temperature", "abc"), ("final_nll", "1.0.0"), ("iterations", "x"),
+        ("iterations", "3.5"), ("degenerate", "True"), ("at_bound", "yes"),
+    ])
+    def test_malformed_value_names_its_field(self, tmp_path, key, value):
+        fields = {"temperature": "2.5", "final_nll": "1.25", "iterations": "4",
+                  "dataset_checksum": "79c74e10a4ccb79e", key: value}
+        path = tmp_path / "temp.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        with pytest.raises(FormatError, match=rf"field {key} = '{value}'"):
             read_temperature_file(path)
 
     def test_checksum_matches_source_dataset(self, tmp_path, rng):

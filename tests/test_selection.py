@@ -21,6 +21,7 @@ from uacal.selection import (
     SelectionResult,
     _separable_sums,
     _shifted_sums,
+    _top_k,
     gaussian_blur,
     gaussian_kernel,
     gaussian_select,
@@ -442,7 +443,33 @@ class TestProperties:
             assert int(np.argmax(want)) == expected
 
 
+def reference_top_k(indices, values, k):
+    """The k highest values[indices] by a full sort, ties by lowest index,
+    returned ascending."""
+    order = np.lexsort((indices, -values[indices]))
+    return np.sort(indices[order[:k]])
+
+
+@st.composite
+def top_k_cases(draw):
+    """Ascending indices into random, heavily tied or flat values, and a k."""
+    size = draw(st.integers(1, 60))
+    levels = draw(st.sampled_from([1, 2, 3, 1000]))  # 1: flat, 2-3: ties everywhere
+    values = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=size,
+                                    max_size=size)), dtype=np.float64) / levels
+    indices = np.flatnonzero(np.array(draw(st.lists(st.booleans(), min_size=size,
+                                                    max_size=size))))
+    return indices, values, draw(st.integers(1, size + 2))
+
+
 class TestKernelProperties:
+    @given(top_k_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_matches_sort_reference(self, case):
+        indices, values, k = case
+        got = _top_k(indices, values, k)
+        assert np.array_equal(got, reference_top_k(indices, values, k))
+
     @given(kernel_fields(), st.sampled_from(KINDS),
            st.floats(0.05, 4.0) | st.floats(4.0, 30.0) | st.just(1000.0),
            st.booleans())
