@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the temperature fit and the report's statistics on calibrate-offline's
-data shape: 2000 records on a 32x32 grid (two tasks, gain 4), as the
+data shape: 2000 records on a 32x32 grid (two tasks, gain 4, seed 1), as the
 LogitBatch ``read_batch`` returns for it.
 
-Prints the median and quartiles over --repeats runs of each timed call.
+Prints the median and quartiles over REPEATS runs of each timed call.
 On a checkout without ``calibration_report`` the report's statistics are
 timed as the two passes ``uacal report`` made there (``reliability_bins``
 and ``max_entropy_by_task``), so the same script compares two checkouts:
@@ -11,7 +11,6 @@ and ``max_entropy_by_task``), so the same script compares two checkouts:
     PYTHONPATH=<checkout>/src python3 scripts/time_fit.py
 """
 
-import argparse
 import statistics
 import tempfile
 import time
@@ -22,11 +21,17 @@ from uacal.action_space import ActionGrid
 from uacal.dataset_io import read_batch, write_dataset
 from uacal.simbench import make_calibration_set
 
+RECORDS_PER_TASK = 1000
+SIDE = 32
+GAIN = 4.0
+SEED = 1
+REPEATS = 31
 
-def timed(fn, repeats):
+
+def timed(fn):
     fn()  # warm-up
     ms = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         ms.append((time.perf_counter() - t0) * 1e3)
@@ -35,19 +40,10 @@ def timed(fn, repeats):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--records-per-task", type=int, default=1000)
-    ap.add_argument("--side", type=int, default=32)
-    ap.add_argument("--gain", type=float, default=4.0)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeats", type=int, default=31)
-    args = ap.parse_args()
-
-    grid = ActionGrid((args.side, args.side))
+    grid = ActionGrid((SIDE, SIDE))
     samples = []
     for tid in (0, 1):
-        samples += make_calibration_set(args.records_per_task, args.gain, grid, args.seed,
-                                        task_id=tid)
+        samples += make_calibration_set(RECORDS_PER_TASK, GAIN, grid, SEED, task_id=tid)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.uacl"
         write_dataset(path, samples)
@@ -61,9 +57,11 @@ def main():
             "fit_temperature": lambda: calibration.fit_temperature(batch),
             "nll": lambda: calibration.nll(batch, T),
             "report statistics": lambda: report(batch, T),
+            "reliability_bins": lambda: calibration.reliability_bins(batch, T),
+            "max_entropy_by_task": lambda: calibration.max_entropy_by_task(batch, T),
         }
         for name, fn in cases.items():
-            med, q1, q3 = timed(fn, args.repeats)
+            med, q1, q3 = timed(fn)
             print(f"{name}: median {med:.1f} ms (quartiles {q1:.1f}-{q3:.1f})")
 
 

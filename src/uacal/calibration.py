@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_space import ActionGrid
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, RecordError, ValidationError
 
 T_MIN = 1e-2
 T_MAX = 1e2
@@ -105,9 +105,8 @@ class LogitBatch:
         bad = np.flatnonzero(~finite | (e < 0) | (e >= self.grid.size))
         if len(bad):  # the first bad record, as a per-record scan would name it
             k = bad[0]
-            raise ValidationError(f"record {k}: " + (
-                f"expert index {e[k]} out of range for |A|={self.grid.size}"
-                if finite[k] else "logits must be finite (NaN/Inf rejected)"))
+            raise RecordError(int(k), f"expert index {e[k]} out of range for |A|={self.grid.size}"
+                              if finite[k] else "logits must be finite (NaN/Inf rejected)")
         v.flags.writeable = False
         for name, value in zip(("logits", "experts", "task_ids"), (v, e.astype(np.intp), t)):
             object.__setattr__(self, name, value)
@@ -275,37 +274,48 @@ def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
     bins on [0, 1] with its hit (argmax == expert, lowest index among ties);
     a row's entropy in nats is log(s) - E_p[z].
     """
+    return _report(data, T, n_bins, table=True, entropy=True)
+
+
+def _report(data, T: float, n_bins: int, table: bool, entropy: bool):
+    """calibration_report's pass, computing only the parts asked for (the
+    other is None), so a caller of one part does not pay for the other."""
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
     confs, hits, ids, highs = [], [], [], []
     for z, e, s, experts, tasks in _softmax_blocks(data, T):
         log_s = np.log(s)
-        highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
-        ids.append(tasks)
-        z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
-        confs.append(np.exp(-log_s))
-        hits.append(z.argmax(axis=1) == experts)
-    conf = np.concatenate(confs)
-    correct = np.concatenate(hits)
-    # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
-    bins = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
-    counts = np.bincount(bins, minlength=n_bins)
-    conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
-    hit_sum = np.bincount(bins, weights=correct, minlength=n_bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_conf = np.where(counts > 0, conf_sum / counts, np.nan)
-        acc = np.where(counts > 0, hit_sum / counts, np.nan)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
-    best = np.zeros(len(tasks))
-    np.maximum.at(best, which, np.concatenate(highs))
-    return (ReliabilityTable(edges, counts, mean_conf, acc),
-            dict(zip(tasks.tolist(), best.tolist())))
+        if entropy:
+            highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
+            ids.append(tasks)
+        if table:
+            z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
+            confs.append(np.exp(-log_s))
+            hits.append(z.argmax(axis=1) == experts)
+    result, by_task = None, None
+    if table:
+        conf = np.concatenate(confs)
+        correct = np.concatenate(hits)
+        # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
+        bins = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
+        counts = np.bincount(bins, minlength=n_bins)
+        conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
+        hit_sum = np.bincount(bins, weights=correct, minlength=n_bins)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean_conf = np.where(counts > 0, conf_sum / counts, np.nan)
+            acc = np.where(counts > 0, hit_sum / counts, np.nan)
+        result = ReliabilityTable(np.linspace(0.0, 1.0, n_bins + 1), counts, mean_conf, acc)
+    if entropy:
+        tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
+        best = np.zeros(len(tasks))
+        np.maximum.at(best, which, np.concatenate(highs))
+        by_task = dict(zip(tasks.tolist(), best.tolist()))
+    return result, by_task
 
 
 def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
     """Equal-width confidence binning: count, mean confidence, accuracy per bin."""
-    return calibration_report(data, T, n_bins)[0]
+    return _report(data, T, n_bins, table=True, entropy=False)[0]
 
 
 def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
@@ -315,7 +325,7 @@ def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
 
 def max_entropy_by_task(data, T: float = 1.0) -> dict[int, float]:
     """Largest softmax entropy (nats) at temperature T among each task's rows."""
-    return calibration_report(data, T)[1]
+    return _report(data, T, DEFAULT_BINS, table=False, entropy=True)[1]
 
 
 def entropy(p: ProbField) -> float:

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 import struct
 
 import numpy as np
 
 from .action_space import ActionGrid
 from .calibration import CalibrationSample, LogitBatch, LogitField, TemperatureModel
-from .errors import FormatError, ValidationError
+from .errors import FormatError, RecordError, ValidationError
 
 MAGIC = b"UACL"
 VERSION = 1
@@ -129,9 +128,8 @@ def _checked_records(grid: ActionGrid, rec: np.ndarray, first: int = 0) -> Logit
     of its file; a bad record raises FormatError naming its file ordinal."""
     try:
         return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
-    except ValidationError as exc:
-        message = re.sub(r"^record (\d+):", lambda m: f"record {first + int(m[1])}:", str(exc))
-        raise FormatError(message) from exc
+    except RecordError as exc:
+        raise FormatError(f"record {first + exc.record}: {exc.reason}") from exc
 
 
 def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:

@@ -17,6 +17,15 @@ class ValidationError(UacalError, ValueError):
     """Input data violated a structural invariant (NaN logits, bad shapes, ...)."""
 
 
+class RecordError(ValidationError):
+    """One record of a batch failed validation: ``record`` is its index in the
+    batch and ``reason`` says what failed."""
+
+    def __init__(self, record, reason):
+        super().__init__(f"record {record}: {reason}")
+        self.record, self.reason = record, reason
+
+
 class UnsupportedConfigError(UacalError, ValueError):
     """A selection mode was combined with options it does not support."""
 

@@ -22,7 +22,7 @@ from uacal.calibration import (
     reliability_bins,
     softmax,
 )
-from uacal.errors import ParameterError, ValidationError
+from uacal.errors import ParameterError, RecordError, ValidationError
 from uacal.simbench import make_calibration_set
 
 from conftest import oracle_ece
@@ -322,6 +322,15 @@ class TestBatchInput:
         logits[3, 0] = np.nan  # a later bad record is not the one reported
         with pytest.raises(ValidationError, match=match):
             LogitBatch(ActionGrid((3,)), logits, experts, np.zeros(4))
+
+    def test_bad_record_carries_index_and_reason(self):
+        logits = np.zeros((4, 3))
+        logits[2, 0] = np.inf
+        with pytest.raises(RecordError) as info:
+            LogitBatch(ActionGrid((3,)), logits, np.zeros(4, np.int64), np.zeros(4))
+        assert info.value.record == 2
+        assert info.value.reason == "logits must be finite (NaN/Inf rejected)"
+        assert str(info.value) == "record 2: logits must be finite (NaN/Inf rejected)"
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
