@@ -63,7 +63,7 @@ class ProbField:
                 f"probability vector length {v.shape} does not match |A|={self.grid.size}")
         if np.any(v < 0) or np.any(v > 1):
             raise ValidationError("probabilities must lie in [0, 1]")
-        if abs(float(v.sum()) - 1.0) > 1e-9:
+        if not abs(float(v.sum()) - 1.0) <= 1e-9:  # so a NaN sum fails too
             raise ValidationError(f"probabilities sum to {v.sum()!r}, expected 1")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -53,7 +53,6 @@ def _selection_config(args, mode: str) -> selection.SelectionConfig:
         tau=args.tau,
         alpha=args.alpha,
         k=args.k,
-        window=args.window,
         sigma=args.sigma,
         mode=mode,
     )
@@ -132,7 +131,6 @@ def _add_selection_flags(p, tau_default=1.5):
     p.add_argument("--tau", type=float, default=tau_default)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--k", type=int, default=selection.DEFAULT_K)
-    p.add_argument("--window", type=int, default=selection.DEFAULT_WINDOW)
     p.add_argument("--sigma", type=float, default=1.0)
 
 

@@ -9,18 +9,17 @@ Five modes:
                      stencil.
 * ``ua_fast``      - same neighborhoods for the chebyshev metric, whose
                      tau-ball is a box: separable unit-tap sums per axis.
-* ``ua_restricted``- thresholded variant: keep actions above a probability
-                     floor (top-k capped), zero the rest, and run the
-                     stencil on a window around their mean coordinate,
-                     grown by the stencil reach.
+* ``ua_restricted``- thresholded variant: keep the top-k actions above a
+                     probability floor and score only those, each by its
+                     ``ua_exact`` sum over the whole field.
 * ``gaussian``     - separable truncated-Gaussian blur of the field
                      (1-2 axes), then argmax.
 
 Two kernels compute every aggregate: the stencil (``ua_exact``,
 ``ua_restricted``) and a separable per-axis tap kernel (``ua_fast``,
-``gaussian``). Both shift-add over a zero-padded, flattened field, where
-an out-of-range term reads a padding zero; adding +0.0 is exact, so each
-cell gets the clipped sums' terms in their order. Every mode breaks ties
+``gaussian``). Both add shifted reads of a zero-padded, flattened field,
+where an out-of-range term reads a padding zero; adding +0.0 is exact, so
+each cell gets the clipped sums' terms in their order. Every mode breaks ties
 by lowest flat index and is bit-deterministic.
 """
 
@@ -38,7 +37,6 @@ from .errors import ParameterError, UnsupportedConfigError
 MODES = ("greedy", "ua_exact", "ua_fast", "ua_restricted", "gaussian")
 
 DEFAULT_K = 4000          # top-k cap on retained actions in restricted search
-DEFAULT_WINDOW = 16       # restricted-search window edge length, cells
 _CHUNK = 1 << 14          # output cells per shift-add pass (128 KiB of float64)
 
 
@@ -48,7 +46,7 @@ class SelectionConfig:
     tau: float = 1.5
     alpha: float | None = None   # None -> 1/|A| at call time
     k: int = DEFAULT_K
-    window: int = DEFAULT_WINDOW
+    window: int = 16             # unused; still accepted and validated
     sigma: float = 1.0
     mode: str = "ua_exact"
 
@@ -124,27 +122,37 @@ def _shift_add(src: np.ndarray, out: np.ndarray, start: int, stop: int,
         out[a - start:b - start] = acc
 
 
-def _shifted_sums(field: np.ndarray, offsets: np.ndarray, weights=None) -> np.ndarray:
-    """sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds x + offsets[k].
+def _padded(field: np.ndarray, offsets: np.ndarray):
+    """Copy ``field`` into a zero-padded flat buffer for shift-adding ``offsets``.
 
-    Each axis is zero-padded on its high side only, by the offsets' reach:
-    a low-side overrun wraps into the previous row's padding, or into the
-    ``lead`` zeros in front. The sums overwrite the buffer, shifted down.
+    Offsets that never land in the field are dropped (``keep``). Each axis is
+    zero-padded on its high side only, by the kept offsets' reach: a low-side
+    overrun wraps into the previous row's padding, or into the ``lead`` zeros
+    in front. Cell x sits at buf[lead + flat(x)], flat by the ``padded``
+    shape, and x + offsets[keep][k] at that plus ``shifts[k]``.
     """
     shape = np.array(field.shape)
     keep = (np.abs(offsets) < shape).all(axis=1)
     offsets = offsets[keep]
-    weights = np.ones(len(offsets)) if weights is None else np.asarray(weights)[keep]
     reach = np.abs(offsets).max(axis=0, initial=0)
     padded = tuple(shape + reach)
     strides = np.cumprod((padded[1:] + (1,))[::-1])[::-1]
     lead = int(reach @ strides)
-    interior = tuple(slice(0, n) for n in field.shape)
     buf = np.zeros(lead + math.prod(padded))
-    buf[lead:].reshape(padded)[interior] = field
-    _shift_add(buf, buf, lead, lead + int((shape - 1) @ strides) + 1,
-               (offsets @ strides).tolist(), weights.tolist())
-    return buf[:math.prod(padded)].reshape(padded)[interior]
+    buf[lead:].reshape(padded)[tuple(map(slice, field.shape))] = field
+    return buf, lead, padded, (offsets @ strides).tolist(), keep
+
+
+def _shifted_sums(field: np.ndarray, offsets: np.ndarray, weights=None) -> np.ndarray:
+    """sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds x + offsets[k].
+
+    The sums overwrite the ``_padded`` buffer, shifted down by ``lead``.
+    """
+    buf, lead, padded, shifts, keep = _padded(field, offsets)
+    weights = [1.0] * len(shifts) if weights is None else np.asarray(weights)[keep].tolist()
+    stop = math.prod(padded)  # lead + flat(shape - 1) + 1: one past the last interior cell
+    _shift_add(buf, buf, lead, stop, shifts, weights)
+    return buf[:stop].reshape(padded)[tuple(map(slice, field.shape))]
 
 
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
@@ -211,42 +219,29 @@ def _top_k(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
 
 
 def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
-    """Restricted-search aggregation around the high-probability region.
+    """Neighborhood aggregation over the retained actions only.
 
-    Actions outside the retained set are zeroed; the stencil then runs on a
-    window around the retained mean, grown by the stencil reach so every
-    window cell sees its whole clipped neighborhood.
+    The candidates are the top-k actions above the probability floor; each
+    is scored by its ``ua_select`` neighborhood sum over the whole field, the
+    stencil's terms gathered in its order, so bit-identical to
+    ``neighborhood_sums`` at that cell. ``candidates_evaluated`` is their count.
     """
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
     grid = p.grid
     values = p.values
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / grid.size
-    retained = np.flatnonzero(values > alpha)
-    if retained.size == 0:
+    cands = _top_k(np.flatnonzero(values > alpha), values, cfg.k)
+    if cands.size == 0:
         res = greedy_select(p)
         return replace(res, flags=res.flags + ("empty_retained_fallback",))
-    retained = _top_k(retained, values, cfg.k)
-
-    dims = np.asarray(grid.dims, dtype=np.int64)
-    r_coords = np.stack(np.unravel_index(retained, grid.dims), axis=-1)
-    center = np.floor(r_coords.mean(axis=0) + 0.5).astype(np.int64)
-    center = np.minimum(np.maximum(center, 0), dims - 1)
-    half = cfg.window // 2
-    lo = np.maximum(center - half, 0)
-    hi = np.minimum(center + half + 1, dims)
-
-    offs = ball_offsets(grid, cfg.metric, cfg.tau)
-    reach = np.abs(offs).max(axis=0, initial=0)
-    crop_lo = np.maximum(lo - reach, 0)
-    crop = tuple(slice(a, b) for a, b in zip(crop_lo, np.minimum(hi + reach, dims)))
-    masked = np.zeros(grid.size)
-    masked[retained] = values[retained]
-    sums = _shifted_sums(masked.reshape(grid.dims)[crop], offs)
-    window = tuple(slice(a - c, b - c) for a, b, c in zip(lo, hi, crop_lo))
-    cells = np.indices(tuple(hi - lo)).reshape(grid.ndim, -1) + lo[:, None]
-    return _result_from_scores(sums[window].ravel(),
-                               actions=np.ravel_multi_index(tuple(cells), grid.dims))
+    buf, lead, padded, shifts, _ = _padded(values.reshape(grid.dims),
+                                           ball_offsets(grid, cfg.metric, cfg.tau))
+    base = lead + np.ravel_multi_index(np.unravel_index(cands, grid.dims), padded)
+    scores = np.zeros(len(cands))
+    for s in shifts:
+        scores += buf[base + s]
+    return _result_from_scores(scores, actions=cands)
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

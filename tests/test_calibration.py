@@ -101,6 +101,8 @@ class TestFieldTypes:
             ProbField(ActionGrid((2,)), [0.6, 0.5])
         with pytest.raises(ValidationError):
             ProbField(ActionGrid((2,)), [1.2, -0.2])
+        with pytest.raises(ValidationError):  # NaN passes every "> bound" check
+            ProbField(ActionGrid((3,)), [0.5, np.nan, 0.5])
 
     def test_sample_expert_bounds(self):
         with pytest.raises(ValidationError):

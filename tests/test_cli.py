@@ -302,6 +302,14 @@ class TestBench:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_restricted_finds_distractor_hard_targets(self, tmp_path, capsys):
+        code, stdout = run(capsys, "bench", "--preset", "distractor-hard",
+                           "--episodes", "300", "--seed", "42",
+                           "--modes", "ua-restricted", "--out", tmp_path / "r.csv")
+        assert code == 0
+        rate = float(re.search(r"ua_restricted success_rate (\S+)", stdout).group(1))
+        assert rate >= 0.95
+
     def test_mode_rows(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code, stdout = run(capsys, "bench", "--episodes", "30", "--seed", "1",

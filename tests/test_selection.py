@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
     SelectionConfig,
     SelectionResult,
+    _result_from_scores,
     _separable_sums,
     _shifted_sums,
     _top_k,
@@ -265,8 +267,9 @@ class TestUaRestricted:
                 full.aggregated_score, abs=1e-12)
 
     def test_hand_enumerated_1d(self):
-        # second case: retained {0, 4, 5, 6} centre on 4, window {3, 4, 5};
-        # cell 5 still counts cell 6 outside the window
+        # only the retained cells are scored, each by its whole-field sum:
+        # cells 0, 3, 4, 5 get 0.30, 0.47, 0.70, 0.46 in the first case, and
+        # cells 0, 4, 5, 6 get 0.2, 0.4, 0.8, 0.7 in the second
         for values, alpha, window, action, score in [
                 ([0.30, 0.0, 0.0, 0.24, 0.23, 0.23, 0.0], 0.1, 7, 4, 0.70),
                 ([0.2, 0.0, 0.0, 0.0, 0.1, 0.3, 0.4, 0.0, 0.0], 0.0, 3, 5, 0.8)]:
@@ -292,14 +295,15 @@ class TestUaRestricted:
         assert "empty_retained_fallback" in res.flags
 
     def test_top_k_keeps_highest_with_low_index_ties(self):
-        # k=2 over probabilities [0.3, 0.3, 0.3, 0.1]: keep indices 0 and 1
+        # full-field sums at tau 1.1 over [0.3, 0.3, 0.3, 0.1] are 0.6, 0.9,
+        # 0.7, 0.4; k=1 must keep cell 0 of the three tied cells, not 1 or 2
         p = prob([0.3, 0.3, 0.3, 0.1])
-        res = ua_select_restricted(p, SelectionConfig(
-            metric=EUCL, tau=1.1, alpha=0.0, k=2, window=8,
-            mode="ua_restricted"))
-        # retained {0,1}; scores: a=0 -> 0.6, a=1 -> 0.6, a=2 -> 0.3
-        assert res.action == 0
-        assert res.aggregated_score == pytest.approx(0.6)
+        for k, action, score in [(1, 0, 0.6), (2, 1, 0.9)]:
+            res = ua_select_restricted(p, SelectionConfig(
+                metric=EUCL, tau=1.1, alpha=0.0, k=k, mode="ua_restricted"))
+            assert res.action == action
+            assert res.aggregated_score == pytest.approx(score)
+            assert res.candidates_evaluated == k
 
     def test_window_clipped_at_boundary(self):
         p = prob([0.9, 0.05, 0.05])
@@ -475,8 +479,8 @@ class TestKernelProperties:
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_stencil_bit_identical_to_reference(self, field, kind, tau, crop):
-        # offsets from a grid up to twice the field's size stand in for
-        # ua_restricted's crop, whose stencil can reach past the field
+        # offsets from a grid up to twice the field's size reach past the
+        # field, so the layout must drop the offsets that never land
         grid = ActionGrid(tuple(2 * n if crop else n for n in field.shape))
         offs = ball_offsets(grid, Metric(kind), tau)
         assert np.array_equal(_shifted_sums(field, offs),
@@ -500,6 +504,28 @@ class TestKernelProperties:
             window=2 * max(grid.dims), mode="ua_restricted"))
         assert restricted.action == full.action
         assert restricted.aggregated_score == full.aggregated_score
+
+    @given(scaled_setups(max_axes=4, max_side=5), st.sampled_from(["random", "flat", "tied"]),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_max=True),
+           st.integers(1, 700))
+    @settings(max_examples=150, deadline=None)
+    def test_restricted_scores_are_stencil_sums(self, setup, kind, seed, frac, k):
+        grid, metric, tau = setup
+        rng = np.random.default_rng(seed)
+        v = {"random": rng.random(grid.size), "flat": np.ones(grid.size),
+             "tied": rng.integers(1, 4, grid.size).astype(float)}[kind]
+        p = ProbField(grid, v / v.sum())
+        alpha = frac * p.values.max()  # below the max, so never empty
+        cands = _top_k(np.flatnonzero(p.values > alpha), p.values, k)
+        want = neighborhood_sums(grid, p.values, metric, tau)[cands]
+        with mock.patch("uacal.selection._result_from_scores",
+                        wraps=_result_from_scores) as spy:
+            res = ua_select_restricted(p, SelectionConfig(
+                metric=metric, tau=tau, alpha=alpha, k=k, mode="ua_restricted"))
+        scores = spy.call_args.args[0]
+        assert np.array_equal(spy.call_args.kwargs["actions"], cands)
+        assert scores.tobytes() == want.tobytes()
+        assert res == _result_from_scores(want, actions=cands)
 
     @given(scaled_setups(max_axes=4, max_side=9))
     @example((ActionGrid((4,), (0.1,)), CHEB, 3 * 0.1))  # 3 * 0.1 / 0.1 rounds above 3
