@@ -21,12 +21,22 @@ Two kernels compute every aggregate: the stencil (``ua_exact``,
 where an out-of-range term reads a padding zero; adding +0.0 is exact, so
 each cell gets the clipped sums' terms in their order. Every mode breaks ties
 by lowest flat index and is bit-deterministic.
+
+Where a field goes in the padded buffer and which shifts are added (its
+``_Layout``) depend on the configuration alone: (grid, metric, tau) for the
+stencil, (dims, reach) for ``ua_fast`` and (dims, sigma) for ``gaussian``.
+Each kernel keeps its last ``_LAYOUTS_KEPT`` layouts in an LRU cache, and
+every call fills a fresh buffer. A kept stencil holds at most |A| shifts and
+a kept tap layout fewer than 2 * dims[ax] per axis, so the caches stay
+bounded by the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +48,8 @@ MODES = ("greedy", "ua_exact", "ua_fast", "ua_restricted", "gaussian")
 
 DEFAULT_K = 4000          # top-k cap on retained actions in restricted search
 _CHUNK = 1 << 14          # output cells per shift-add pass (128 KiB of float64)
+_LAYOUTS_KEPT = 16        # layouts each kernel's cache keeps, least recently used first out
+_DENSE_SHARE = 0.08       # candidates/|A| from which ua_restricted scores every cell
 
 
 @dataclass(frozen=True)
@@ -122,45 +134,81 @@ def _shift_add(src: np.ndarray, out: np.ndarray, start: int, stop: int,
         out[a - start:b - start] = acc
 
 
-def _padded(field: np.ndarray, offsets: np.ndarray):
-    """Copy ``field`` into a zero-padded flat buffer for shift-adding ``offsets``.
+class _Layout(NamedTuple):
+    """Where ``_fill`` puts a field of ``shape``, and the shifts ``_shift_add`` reads.
 
-    Offsets that never land in the field are dropped (``keep``). Each axis is
-    zero-padded on its high side only, by the kept offsets' reach: a low-side
-    overrun wraps into the previous row's padding, or into the ``lead`` zeros
-    in front. Cell x sits at buf[lead + flat(x)], flat by the ``padded``
-    shape, and x + offsets[keep][k] at that plus ``shifts[k]``.
+    Each axis is zero-padded on its high side only, by the kept offsets'
+    reach: a low-side overrun wraps into the previous row's padding, or into
+    the ``lead`` zeros in front. Cell x sits at buf[lead + flat(x)], flat by
+    the ``padded`` shape, and x + kept offset k at that plus ``shifts[k]``.
     """
-    shape = np.array(field.shape)
+
+    shape: tuple[int, ...]
+    padded: tuple[int, ...]
+    lead: int
+    shifts: np.ndarray            # read-only int64, one per kept offset
+    weights: tuple[float, ...]    # one per kept offset
+
+
+def _layout(shape: tuple[int, ...], offsets: np.ndarray, weights=None) -> _Layout:
+    """The layout for shift-adding ``offsets`` (unit ``weights`` by default).
+
+    Offsets that never land in a field of ``shape`` are dropped with their
+    weights, as every term they add is a padding zero.
+    """
     keep = (np.abs(offsets) < shape).all(axis=1)
     offsets = offsets[keep]
     reach = np.abs(offsets).max(axis=0, initial=0)
-    padded = tuple(shape + reach)
+    padded = tuple((np.array(shape) + reach).tolist())
     strides = np.cumprod((padded[1:] + (1,))[::-1])[::-1]
-    lead = int(reach @ strides)
-    buf = np.zeros(lead + math.prod(padded))
-    buf[lead:].reshape(padded)[tuple(map(slice, field.shape))] = field
-    return buf, lead, padded, (offsets @ strides).tolist(), keep
+    shifts = offsets @ strides
+    shifts.flags.writeable = False
+    weights = ((1.0,) * len(shifts) if weights is None
+               else tuple(np.asarray(weights, dtype=np.float64)[keep].tolist()))
+    return _Layout(tuple(shape), padded, int(reach @ strides), shifts, weights)
 
 
-def _shifted_sums(field: np.ndarray, offsets: np.ndarray, weights=None) -> np.ndarray:
+def _fill(field: np.ndarray, lay: _Layout) -> np.ndarray:
+    """A fresh zero buffer holding ``field`` where ``lay`` puts it."""
+    buf = np.zeros(lay.lead + math.prod(lay.padded))
+    buf[lay.lead:].reshape(lay.padded)[tuple(map(slice, lay.shape))] = field
+    return buf
+
+
+def _sums(field: np.ndarray, lay: _Layout) -> np.ndarray:
     """sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds x + offsets[k].
 
-    The sums overwrite the ``_padded`` buffer, shifted down by ``lead``.
+    The sums overwrite the ``_fill`` buffer, shifted down by ``lead``.
     """
-    buf, lead, padded, shifts, keep = _padded(field, offsets)
-    weights = [1.0] * len(shifts) if weights is None else np.asarray(weights)[keep].tolist()
-    stop = math.prod(padded)  # lead + flat(shape - 1) + 1: one past the last interior cell
-    _shift_add(buf, buf, lead, stop, shifts, weights)
-    return buf[:stop].reshape(padded)[tuple(map(slice, field.shape))]
+    buf = _fill(field, lay)
+    stop = math.prod(lay.padded)  # lead + flat(shape - 1) + 1: one past the last interior cell
+    _shift_add(buf, buf, lay.lead, stop, lay.shifts.tolist(), lay.weights)
+    return buf[:stop].reshape(lay.padded)[tuple(map(slice, lay.shape))]
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _kept_stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout | None:
+    """The tau-ball's layout when its box holds at most |A| offsets, else None.
+
+    A ball in a larger box makes of the order of |A| or more passes over the
+    field, next to which its layout is cheap to build, so it is not kept.
+    """
+    if math.prod(2 * r + 1 for r in ball_reach(grid, metric, tau)) > grid.size:
+        return None
+    return _layout(grid.dims, ball_offsets(grid, metric, tau))
+
+
+def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
+    """The strict tau-ball's layout on ``grid``, from the cache when kept there."""
+    lay = _kept_stencil_layout(grid, metric, tau)
+    return _layout(grid.dims, ball_offsets(grid, metric, tau)) if lay is None else lay
 
 
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
                       tau: float) -> np.ndarray:
     """Exact per-action sum of ``values`` over the strict tau-ball, flat order."""
-    offs = ball_offsets(grid, metric, tau)
     field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    return _shifted_sums(field, offs).ravel()
+    return _sums(field, _stencil_layout(grid, metric, tau)).ravel()
 
 
 def ua_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
@@ -171,18 +219,41 @@ def ua_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     return _result_from_scores(sums)
 
 
-def _separable_sums(field: np.ndarray, taps) -> np.ndarray:
-    """Per-axis zero-padded shift-add with odd, centered ``taps[ax]``.
+def _axis_layouts(dims: tuple[int, ...], taps) -> tuple[_Layout, ...]:
+    """One layout per axis, shift-adding the odd, centred ``taps[ax]`` along it.
+
+    Only the summed axis is padded.
+    """
+    layouts = []
+    for ax, w in enumerate(taps):
+        r = len(w) // 2
+        offsets = np.zeros((len(w), len(dims)), dtype=np.int64)
+        offsets[:, ax] = np.arange(-r, r + 1)
+        layouts.append(_layout(dims, offsets, w))
+    return tuple(layouts)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _box_layouts(dims: tuple[int, ...], reach: tuple[int, ...]) -> tuple[_Layout, ...]:
+    """``ua_fast``'s unit taps spanning ``reach[ax]`` cells either side."""
+    return _axis_layouts(dims, [np.ones(2 * h + 1) for h in reach])
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _gaussian_layouts(dims: tuple[int, ...], sigma: float) -> tuple[_Layout, ...]:
+    """``gaussian_kernel(sigma)`` along every axis."""
+    return _axis_layouts(dims, [gaussian_kernel(sigma)] * len(dims))
+
+
+def _separable_sums(field: np.ndarray, layouts) -> np.ndarray:
+    """Per-axis zero-padded shift-add, one ``_axis_layouts`` layout per axis.
 
     Along each axis in turn, out[x] = sum of taps[o + r] * field[x + o] over
     in-bounds o, added in ascending o, so cells whose clipped windows hold
-    equal values get bit-identical sums. Only the summed axis is padded.
+    equal values get bit-identical sums.
     """
-    for ax, w in enumerate(taps):
-        r = len(w) // 2
-        offsets = np.zeros((len(w), field.ndim), dtype=np.int64)
-        offsets[:, ax] = np.arange(-r, r + 1)
-        field = _shifted_sums(field, offsets, w)
+    for lay in layouts:
+        field = _sums(field, lay)
     return field
 
 
@@ -199,9 +270,9 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
         raise UnsupportedConfigError("ua_select_fast supports 1-3 axis grids")
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
-    reach = ball_reach(p.grid, cfg.metric, cfg.tau)
+    reach = tuple(ball_reach(p.grid, cfg.metric, cfg.tau))
     field = np.asarray(p.values, dtype=np.float64).reshape(p.grid.dims)
-    sums = _separable_sums(field, [np.ones(2 * h + 1) for h in reach])
+    sums = _separable_sums(field, _box_layouts(p.grid.dims, reach))
     return _result_from_scores(sums.ravel())
 
 
@@ -224,7 +295,9 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     The candidates are the top-k actions above the probability floor; each
     is scored by its ``ua_select`` neighborhood sum over the whole field, the
     stencil's terms gathered in its order, so bit-identical to
-    ``neighborhood_sums`` at that cell. ``candidates_evaluated`` is their count.
+    ``neighborhood_sums`` at that cell. From ``_DENSE_SHARE`` of the grid on,
+    gathers cost more than the contiguous stencil pass, which then scores
+    every cell. ``candidates_evaluated`` is the candidates' count.
     """
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
@@ -235,12 +308,15 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if cands.size == 0:
         res = greedy_select(p)
         return replace(res, flags=res.flags + ("empty_retained_fallback",))
-    buf, lead, padded, shifts, _ = _padded(values.reshape(grid.dims),
-                                           ball_offsets(grid, cfg.metric, cfg.tau))
-    base = lead + np.ravel_multi_index(np.unravel_index(cands, grid.dims), padded)
-    scores = np.zeros(len(cands))
-    for s in shifts:
-        scores += buf[base + s]
+    if cands.size >= _DENSE_SHARE * grid.size:
+        scores = neighborhood_sums(grid, values, cfg.metric, cfg.tau)[cands]
+    else:
+        lay = _stencil_layout(grid, cfg.metric, cfg.tau)
+        buf = _fill(values.reshape(grid.dims), lay)
+        base = lay.lead + np.ravel_multi_index(np.unravel_index(cands, grid.dims), lay.padded)
+        scores = np.zeros(len(cands))
+        for s in lay.shifts.tolist():
+            scores += buf[base + s]
     return _result_from_scores(scores, actions=cands)
 
 
@@ -257,7 +333,7 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 def gaussian_blur(grid: ActionGrid, values: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-axis blur with zero padding, flat order."""
     field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    return _separable_sums(field, [gaussian_kernel(sigma)] * grid.ndim).ravel()
+    return _separable_sums(field, _gaussian_layouts(grid.dims, sigma)).ravel()
 
 
 def gaussian_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from uacal import selection
 from uacal.action_space import (
     ActionGrid,
     Metric,
@@ -20,9 +21,11 @@ from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
     SelectionConfig,
     SelectionResult,
+    _axis_layouts,
+    _layout,
     _result_from_scores,
     _separable_sums,
-    _shifted_sums,
+    _sums,
     _top_k,
     gaussian_blur,
     gaussian_kernel,
@@ -108,6 +111,13 @@ def kernel_fields(draw):
     if kind == "flat":
         return np.full(dims, 1.0 / math.prod(dims))
     return rng.integers(0, 4, size=dims) / 7.0
+
+
+def kind_field(grid, kind, rng):
+    """A positive probability field that is random, flat, or tied in levels."""
+    v = {"random": rng.random(grid.size) + 1e-6, "flat": np.ones(grid.size),
+         "tied": rng.integers(1, 4, grid.size).astype(float)}[kind]
+    return ProbField(grid, v / v.sum())
 
 
 @st.composite
@@ -483,14 +493,14 @@ class TestKernelProperties:
         # field, so the layout must drop the offsets that never land
         grid = ActionGrid(tuple(2 * n if crop else n for n in field.shape))
         offs = ball_offsets(grid, Metric(kind), tau)
-        assert np.array_equal(_shifted_sums(field, offs),
+        assert np.array_equal(_sums(field, _layout(field.shape, offs)),
                               reference_shifted_sums(field, offs))
 
     @given(kernel_fields(), st.integers(0, 12), st.floats(0.2, 4.0), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_separable_bit_identical_to_reference(self, field, half, sigma, unit):
         taps = ([np.ones(2 * half + 1)] if unit else [gaussian_kernel(sigma)]) * field.ndim
-        assert np.array_equal(_separable_sums(field, taps),
+        assert np.array_equal(_separable_sums(field, _axis_layouts(field.shape, taps)),
                               reference_separable_sums(field, taps))
 
     @given(scaled_setups(max_axes=4, max_side=5), st.integers(0, 2**32 - 1))
@@ -526,6 +536,25 @@ class TestKernelProperties:
         assert np.array_equal(spy.call_args.kwargs["actions"], cands)
         assert scores.tobytes() == want.tobytes()
         assert res == _result_from_scores(want, actions=cands)
+
+    @given(scaled_setups(max_axes=3, max_side=9), st.sampled_from(["random", "flat", "tied"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_restricted_dense_branch_at_k_equal_size(self, setup, kind, seed):
+        # with every cell a candidate, the scores come from one stencil pass
+        grid, metric, tau = setup
+        p = kind_field(grid, kind, np.random.default_rng(seed))
+        want = neighborhood_sums(grid, p.values, metric, tau)
+        with mock.patch("uacal.selection._result_from_scores",
+                        wraps=_result_from_scores) as spy, \
+             mock.patch("uacal.selection.neighborhood_sums",
+                        wraps=neighborhood_sums) as dense:
+            res = ua_select_restricted(p, SelectionConfig(
+                metric=metric, tau=tau, alpha=0.0, k=grid.size, mode="ua_restricted"))
+        assert dense.call_count == 1
+        assert np.array_equal(spy.call_args.kwargs["actions"], np.arange(grid.size))
+        assert spy.call_args.args[0].tobytes() == want.tobytes()
+        assert res == ua_select(p, SelectionConfig(metric=metric, tau=tau))
 
     @given(scaled_setups(max_axes=4, max_side=9))
     @example((ActionGrid((4,), (0.1,)), CHEB, 3 * 0.1))  # 3 * 0.1 / 0.1 rounds above 3
@@ -584,3 +613,112 @@ class TestKernelMemory:
                  for tau in (diag, 1000.0)]
         assert peaks[1] <= 1.1 * peaks[0]
         assert max(peaks) <= 8 * p.values.nbytes
+
+
+LAYOUT_CACHES = (selection._kept_stencil_layout, selection._box_layouts,
+                 selection._gaussian_layouts)
+
+
+def clear_layout_caches():
+    for cache in LAYOUT_CACHES:
+        cache.cache_clear()
+
+
+@st.composite
+def cache_configs(draw):
+    """(grid, metric, tau, sigma) on 1-4 axes, with balls small and large."""
+    grid, metric, tau = draw(scaled_setups(max_axes=4, max_side=7))
+    return grid, metric, tau, draw(st.floats(0.2, 3.0))
+
+
+def every_mode(p, metric, tau, sigma):
+    """Every layout-using mode that accepts this config, by name."""
+    out = {"ua_exact": ua_select(p, SelectionConfig(metric=metric, tau=tau)),
+           "ua_restricted": ua_select_restricted(p, SelectionConfig(
+               metric=metric, tau=tau, mode="ua_restricted")),
+           "ua_restricted_all": ua_select_restricted(p, SelectionConfig(
+               metric=metric, tau=tau, alpha=0.0, k=p.grid.size, mode="ua_restricted"))}
+    if metric.kind == "chebyshev" and p.grid.ndim <= 3:
+        out["ua_fast"] = ua_select_fast(p, SelectionConfig(metric=metric, tau=tau))
+    if p.grid.ndim <= 2:
+        out["gaussian"] = gaussian_select(p, SelectionConfig(sigma=sigma, mode="gaussian"))
+    return out
+
+
+class TestLayoutCache:
+    @given(st.lists(cache_configs(), min_size=selection._LAYOUTS_KEPT + 1,
+                    max_size=selection._LAYOUTS_KEPT + 6, unique=True),
+           st.sampled_from(["random", "flat", "tied"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_results_equal_a_cold_cache_run(self, configs, kind, seed):
+        # two passes over more configs than a cache keeps: the second pass
+        # meets entries that were evicted and rebuilt
+        rng = np.random.default_rng(seed)
+        fields = [kind_field(grid, kind, rng) for grid, *_ in configs]
+        warm = [every_mode(p, *cfg[1:]) for _ in range(2) for p, cfg in zip(fields, configs)]
+        for i, (p, cfg) in enumerate(zip(fields, configs)):
+            clear_layout_caches()
+            cold = every_mode(p, *cfg[1:])
+            assert warm[i] == cold
+            assert warm[i + len(configs)] == cold
+
+    def test_mutating_ball_offsets_leaves_the_cache_intact(self, rng):
+        grid = ActionGrid((9, 7))
+        v = rng.random(grid.size)
+        before = neighborhood_sums(grid, v, EUCL, 2.5)
+        offs = ball_offsets(grid, EUCL, 2.5)
+        again = ball_offsets(grid, EUCL, 2.5)
+        assert not np.shares_memory(offs, again)
+        offs[:] = 3
+        again[::2] = -1
+        after = neighborhood_sums(grid, v, EUCL, 2.5)
+        assert after.tobytes() == before.tobytes()
+        lay = selection._stencil_layout(grid, EUCL, 2.5)
+        with pytest.raises(ValueError):
+            lay.shifts[0] = 0
+
+    def test_miss_builds_the_stencil_through_ball_offsets_once(self, rng):
+        clear_layout_caches()
+        grid = ActionGrid((16, 16))
+        p = random_prob_field(rng, grid)
+        with mock.patch("uacal.selection.ball_offsets", wraps=ball_offsets) as spy:
+            first = ua_select(p, SelectionConfig(metric=EUCL, tau=2.5))
+            second = ua_select(p, SelectionConfig(metric=EUCL, tau=2.5))
+        assert spy.call_count == 1
+        assert first == second
+
+    def test_large_ball_is_rebuilt_not_kept(self, rng):
+        # its box holds more offsets than the grid has cells
+        grid = ActionGrid((6, 6))
+        v = rng.random(grid.size)
+        with mock.patch("uacal.selection.ball_offsets", wraps=ball_offsets) as spy:
+            sums = [neighborhood_sums(grid, v, EUCL, 4.0) for _ in range(2)]
+        assert spy.call_count == 2
+        assert selection._kept_stencil_layout(grid, EUCL, 4.0) is None
+        assert sums[0].tobytes() == sums[1].tobytes()
+
+    def test_caches_stay_within_maxsize(self, rng):
+        for n in range(3 * selection._LAYOUTS_KEPT):
+            grid = ActionGrid((5 + n % 7, 4 + n // 7))
+            p = random_prob_field(rng, grid)
+            tau = 1.0 + 0.1 * n
+            ua_select(p, SelectionConfig(metric=CHEB, tau=tau))
+            ua_select_fast(p, SelectionConfig(metric=CHEB, tau=tau))
+            gaussian_blur(grid, p.values, 0.3 + 0.05 * n)
+        for cache in LAYOUT_CACHES:
+            info = cache.cache_info()
+            assert info.maxsize == selection._LAYOUTS_KEPT
+            assert info.currsize <= info.maxsize
+
+    def test_warm_cache_cannot_skew_the_memory_ratio(self):
+        # TestKernelMemory's peaks with one of its two configs already seen:
+        # neither ball is kept, so both calls build their stencil alike
+        grid = ActionGrid((12, 12, 12))
+        v = np.random.default_rng(3).random(grid.size)
+        diag = math.dist(grid.dims, (1, 1, 1))
+        for warm in (diag, 1000.0):
+            neighborhood_sums(grid, v, EUCL, warm)
+            peaks = [TestKernelMemory.peak_bytes(lambda: neighborhood_sums(grid, v, EUCL, tau))
+                     for tau in (diag, 1000.0)]
+            assert peaks[1] <= 1.1 * peaks[0]
+            assert peaks[0] <= 1.1 * peaks[1]
