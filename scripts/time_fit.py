@@ -4,9 +4,7 @@ data shape: 2000 records on a 32x32 grid (two tasks, gain 4, seed 1), as the
 LogitBatch ``read_batch`` returns for it.
 
 Prints the median and quartiles over REPEATS runs of each timed call.
-On a checkout without ``calibration_report`` the report's statistics are
-timed as the two passes ``uacal report`` made there (``reliability_bins``
-and ``max_entropy_by_task``), so the same script compares two checkouts:
+The same script compares two checkouts:
 
     PYTHONPATH=<checkout>/src python3 scripts/time_fit.py
 """
@@ -50,15 +48,11 @@ def main():
         batch = read_batch(path)
         model = calibration.fit_temperature(batch)
         T = model.temperature
-        report = getattr(calibration, "calibration_report", None) or (lambda b, t: (
-            calibration.reliability_bins(b, t), calibration.max_entropy_by_task(b, t)))
         print(f"n={len(batch)} |A|={grid.size} T={T:.17g} passes={model.iterations}")
         cases = {
             "fit_temperature": lambda: calibration.fit_temperature(batch),
             "nll": lambda: calibration.nll(batch, T),
-            "report statistics": lambda: report(batch, T),
-            "reliability_bins": lambda: calibration.reliability_bins(batch, T),
-            "max_entropy_by_task": lambda: calibration.max_entropy_by_task(batch, T),
+            "report statistics": lambda: calibration.calibration_report(batch, T),
         }
         for name, fn in cases.items():
             med, q1, q3 = timed(fn)

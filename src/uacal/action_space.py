@@ -162,16 +162,6 @@ def neighborhood(grid: ActionGrid, m: Metric, a: int, tau: float) -> np.ndarray:
 
     Strict inequality: tau = 0 yields the empty set.
     """
-    offs = ball_offsets(grid, m, tau)
-    if offs.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    center = np.asarray(coords_of(grid, a), dtype=np.int64)
-    pts = center + offs
-    dims = np.asarray(grid.dims, dtype=np.int64)
-    inside = np.all((pts >= 0) & (pts < dims), axis=1)
-    pts = pts[inside]
-    flat = np.zeros(pts.shape[0], dtype=np.int64)
-    for ax in range(grid.ndim):
-        flat = flat * dims[ax] + pts[:, ax]
-    flat.sort()
-    return flat
+    pts = np.asarray(coords_of(grid, a), dtype=np.int64) + ball_offsets(grid, m, tau)
+    pts = pts[np.all((pts >= 0) & (pts < grid.dims), axis=1)]
+    return np.sort(np.ravel_multi_index(pts.T, grid.dims))

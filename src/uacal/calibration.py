@@ -208,30 +208,29 @@ def _softmax_blocks(data, T: float):
         yield z, e, e.sum(axis=1), experts, tasks
 
 
-def _nll_pass(data, T: float, moments: bool = False):
-    """Mean NLL at T; with moments, (NLL, gradient, curvature, flat), where the
-    derivatives in beta = 1/T are mean(E_p[x] - x_expert) and mean(Var_p[x])
-    over the raw logits x, and flat means every row is constant."""
+def _nll_pass(data, T: float):
+    """(NLL, gradient, curvature, flat) at T: the mean NLL, its derivatives in
+    beta = 1/T, mean(E_p[x] - x_expert) and mean(Var_p[x]) over the raw logits
+    x, and whether every row is constant."""
     picked, grads, curvs, flat = [], [], [], True
     for z, e, s, experts, _ in _softmax_blocks(data, T):
         z_expert = z[np.arange(len(z)), experts]
         picked.append(z_expert - np.log(s))
-        if moments:  # z is x / T less a per-row constant: scale by T and T^2
-            flat = flat and z.min() == 0.0  # z <= 0 is 0 only at a row's max values
-            mean = np.einsum("ij,ij->i", e, z) / s
-            grads.append(mean - z_expert)
-            z -= mean[:, None]
-            curvs.append(np.einsum("ij,ij,ij->i", e, z, z) / s)
-    value = -float(np.concatenate(picked).mean())
-    if not moments:
-        return value
-    grad, curv = (float(np.concatenate(x).mean()) for x in (grads, curvs))
-    return value, T * grad, T * T * curv, bool(flat)
+        flat = flat and z.min() == 0.0  # z <= 0 is 0 only at a row's max values
+        mean = np.einsum("ij,ij->i", e, z) / s
+        grads.append(mean - z_expert)
+        z -= mean[:, None]
+        curvs.append(np.einsum("ij,ij,ij->i", e, z, z) / s)
+    value, grad, curv = (float(np.concatenate(x).mean()) for x in (picked, grads, curvs))
+    # z is x / T less a per-row constant: scale by T and T^2
+    return -value, T * grad, T * T * curv, bool(flat)
 
 
 def nll(data, T: float) -> float:
     """Mean negative log-likelihood of expert actions at temperature T."""
-    return _nll_pass(data, T)
+    picked = [z[np.arange(len(z)), experts] - np.log(s)
+              for z, _, s, experts, _ in _softmax_blocks(data, T)]
+    return -float(np.concatenate(picked).mean())
 
 
 def fit_temperature(data) -> TemperatureModel:
@@ -249,7 +248,7 @@ def fit_temperature(data) -> TemperatureModel:
     b_lo, b_hi = 1.0 / T_MAX, 1.0 / T_MIN
     lo, hi, beta, last = b_lo / 2, b_hi * 2, 1.0, math.inf  # ends outside the domain: open
     for passes in itertools.count(1):
-        value, grad, curv, flat = _nll_pass(data, 1.0 / beta, moments=True)
+        value, grad, curv, flat = _nll_pass(data, 1.0 / beta)
         if flat:
             return TemperatureModel(1.0, value, passes, degenerate=True)
         lo, hi = (lo, beta) if grad > 0 else (beta, hi)
@@ -274,48 +273,36 @@ def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
     bins on [0, 1] with its hit (argmax == expert, lowest index among ties);
     a row's entropy in nats is log(s) - E_p[z].
     """
-    return _report(data, T, n_bins, table=True, entropy=True)
-
-
-def _report(data, T: float, n_bins: int, table: bool, entropy: bool):
-    """calibration_report's pass, computing only the parts asked for (the
-    other is None), so a caller of one part does not pay for the other."""
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
     confs, hits, ids, highs = [], [], [], []
     for z, e, s, experts, tasks in _softmax_blocks(data, T):
         log_s = np.log(s)
-        if entropy:
-            highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
-            ids.append(tasks)
-        if table:
-            z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
-            confs.append(np.exp(-log_s))
-            hits.append(z.argmax(axis=1) == experts)
-    result, by_task = None, None
-    if table:
-        conf = np.concatenate(confs)
-        correct = np.concatenate(hits)
-        # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
-        bins = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
-        counts = np.bincount(bins, minlength=n_bins)
-        conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
-        hit_sum = np.bincount(bins, weights=correct, minlength=n_bins)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_conf = np.where(counts > 0, conf_sum / counts, np.nan)
-            acc = np.where(counts > 0, hit_sum / counts, np.nan)
-        result = ReliabilityTable(np.linspace(0.0, 1.0, n_bins + 1), counts, mean_conf, acc)
-    if entropy:
-        tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
-        best = np.zeros(len(tasks))
-        np.maximum.at(best, which, np.concatenate(highs))
-        by_task = dict(zip(tasks.tolist(), best.tolist()))
-    return result, by_task
+        highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
+        ids.append(tasks)
+        z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
+        confs.append(np.exp(-log_s))
+        hits.append(z.argmax(axis=1) == experts)
+    conf = np.concatenate(confs)
+    correct = np.concatenate(hits)
+    # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
+    bins = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
+    counts = np.bincount(bins, minlength=n_bins)
+    conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
+    hit_sum = np.bincount(bins, weights=correct, minlength=n_bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_conf = np.where(counts > 0, conf_sum / counts, np.nan)
+        acc = np.where(counts > 0, hit_sum / counts, np.nan)
+    table = ReliabilityTable(np.linspace(0.0, 1.0, n_bins + 1), counts, mean_conf, acc)
+    tasks, which = np.unique(np.concatenate(ids), return_inverse=True)
+    best = np.zeros(len(tasks))
+    np.maximum.at(best, which, np.concatenate(highs))
+    return table, dict(zip(tasks.tolist(), best.tolist()))
 
 
 def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
-    """Equal-width confidence binning: count, mean confidence, accuracy per bin."""
-    return _report(data, T, n_bins, table=True, entropy=False)[0]
+    """Equal-width confidence binning: ``calibration_report``'s table part."""
+    return calibration_report(data, T, n_bins)[0]
 
 
 def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
@@ -324,8 +311,8 @@ def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
 
 
 def max_entropy_by_task(data, T: float = 1.0) -> dict[int, float]:
-    """Largest softmax entropy (nats) at temperature T among each task's rows."""
-    return _report(data, T, DEFAULT_BINS, table=False, entropy=True)[1]
+    """Largest softmax entropy (nats) per task at T: ``calibration_report``'s part."""
+    return calibration_report(data, T)[1]
 
 
 def entropy(p: ProbField) -> float:

@@ -15,12 +15,12 @@ Five modes:
 * ``gaussian``     - separable truncated-Gaussian blur of the field
                      (1-2 axes), then argmax.
 
-Two kernels compute every aggregate: the stencil (``ua_exact``,
-``ua_restricted``) and a separable per-axis tap kernel (``ua_fast``,
-``gaussian``). Both add shifted reads of a zero-padded, flattened field,
-where an out-of-range term reads a padding zero; adding +0.0 is exact, so
-each cell gets the clipped sums' terms in their order. Every mode breaks ties
-by lowest flat index and is bit-deterministic.
+One function computes every full-field aggregate: it adds shifted reads of a
+zero-padded, flattened field through the stencil's layout (``ua_exact``,
+``ua_restricted``) or one per-axis tap layout per axis (``ua_fast``,
+``gaussian``). An out-of-range term reads a padding zero; adding +0.0 is
+exact, so each cell gets the clipped sums' terms in their order. Every mode
+breaks ties by lowest flat index and is bit-deterministic.
 
 Where a field goes in the padded buffer and which shifts are added (its
 ``_Layout``) depend on the configuration alone: (grid, metric, tau) for the
@@ -69,8 +69,8 @@ class SelectionConfig:
             raise ParameterError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must lie in [0, 1]")
-        if self.k < 1:
-            raise ParameterError("k must be >= 1")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ParameterError(f"k must be an integer >= 1, got {self.k!r}")
         if self.window < 1:
             raise ParameterError("window must be >= 1")
         if self.mode == "gaussian" and not 0 < self.sigma < math.inf:
@@ -204,11 +204,24 @@ def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
     return _layout(grid.dims, ball_offsets(grid, metric, tau)) if lay is None else lay
 
 
+def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
+    """``values`` shift-added through each of ``layouts`` in turn, flat order.
+
+    One stencil layout gives its neighborhood sums. One ``_axis_layouts``
+    layout per axis gives, along each axis in turn, out[x] = sum of
+    taps[o + r] * field[x + o] over in-bounds o, added in ascending o, so
+    cells whose clipped windows hold equal values get bit-identical sums.
+    """
+    field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
+    for lay in layouts:
+        field = _sums(field, lay)
+    return field.ravel()
+
+
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
                       tau: float) -> np.ndarray:
     """Exact per-action sum of ``values`` over the strict tau-ball, flat order."""
-    field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    return _sums(field, _stencil_layout(grid, metric, tau)).ravel()
+    return _aggregate(grid, values, (_stencil_layout(grid, metric, tau),))
 
 
 def ua_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
@@ -245,18 +258,6 @@ def _gaussian_layouts(dims: tuple[int, ...], sigma: float) -> tuple[_Layout, ...
     return _axis_layouts(dims, [gaussian_kernel(sigma)] * len(dims))
 
 
-def _separable_sums(field: np.ndarray, layouts) -> np.ndarray:
-    """Per-axis zero-padded shift-add, one ``_axis_layouts`` layout per axis.
-
-    Along each axis in turn, out[x] = sum of taps[o + r] * field[x + o] over
-    in-bounds o, added in ascending o, so cells whose clipped windows hold
-    equal values get bit-identical sums.
-    """
-    for lay in layouts:
-        field = _sums(field, lay)
-    return field
-
-
 def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     """Chebyshev neighborhoods on 1-3 axis grids as separable box sums.
 
@@ -271,9 +272,8 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
     reach = tuple(ball_reach(p.grid, cfg.metric, cfg.tau))
-    field = np.asarray(p.values, dtype=np.float64).reshape(p.grid.dims)
-    sums = _separable_sums(field, _box_layouts(p.grid.dims, reach))
-    return _result_from_scores(sums.ravel())
+    sums = _aggregate(p.grid, p.values, _box_layouts(p.grid.dims, reach))
+    return _result_from_scores(sums)
 
 
 def _top_k(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -332,8 +332,7 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 def gaussian_blur(grid: ActionGrid, values: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-axis blur with zero padding, flat order."""
-    field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    return _separable_sums(field, _gaussian_layouts(grid.dims, sigma)).ravel()
+    return _aggregate(grid, values, _gaussian_layouts(grid.dims, sigma))
 
 
 def gaussian_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_space import ActionGrid, coords_of, flat_index
-from .calibration import CalibrationSample, LogitField, apply_temperature
+from .calibration import CalibrationSample, LogitField, _softmax64, apply_temperature
 from .errors import GenerationError, ParameterError
 from .selection import SelectionConfig, select
 
@@ -227,9 +227,7 @@ def make_calibration_set(n_samples: int, gain: float, grid: ActionGrid,
     samples = []
     for _ in range(n_samples):
         true = rng.normal(0.0, 1.0, size=grid.size)
-        z = np.exp(true - true.max())
-        probs = z / z.sum()
-        expert = int(rng.choice(grid.size, p=probs))
+        expert = int(rng.choice(grid.size, p=_softmax64(true)))
         samples.append(CalibrationSample(LogitField(grid, gain * true),
                                          expert, task_id))
     return samples

@@ -59,7 +59,7 @@ def reference_nll(logits, experts, T):
     return -float(np.mean(picked))
 
 
-def two_exp_pass(data, T, moments=False):
+def two_exp_pass(data, T):
     """The NLL pass as it was before the single-exp kernel: log-softmax,
     then p = exp(logp) again for the moments. For a LogitBatch only."""
     picked, grads, curvs, flat = [], [], [], True
@@ -71,16 +71,13 @@ def two_exp_pass(data, T, moments=False):
         logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
         experts = data.experts[i:i + rows]
         picked.append(np.take_along_axis(logp, experts[:, None], axis=1)[:, 0])
-        if moments:
-            p = np.exp(logp)
-            mean = np.einsum("ij,ij->i", p, logp)
-            dev = logp - mean[:, None]
-            grads.append(mean - picked[-1])
-            curvs.append(np.einsum("ij,ij->i", p * dev, dev))
-            flat = flat and bool((logp == logp[:, :1]).all())
+        p = np.exp(logp)
+        mean = np.einsum("ij,ij->i", p, logp)
+        dev = logp - mean[:, None]
+        grads.append(mean - picked[-1])
+        curvs.append(np.einsum("ij,ij->i", p * dev, dev))
+        flat = flat and bool((logp == logp[:, :1]).all())
     value = -float(np.concatenate(picked).mean())
-    if not moments:
-        return value
     grad, curv = (float(np.concatenate(x).mean()) for x in (grads, curvs))
     return value, T * grad, T * T * curv, flat
 
@@ -397,9 +394,9 @@ class TestSingleExpPass:
         data = [sample([0.0, -1e-17], 0) for _ in range(3)]
         logp = np.array([0.0, -1e-17]) - math.log(2.0)
         assert logp[0] == logp[1]
-        assert not calibration._nll_pass(data, 1.0, moments=True)[3]
+        assert not calibration._nll_pass(data, 1.0)[3]
         assert not fit_temperature(data).degenerate
-        assert calibration._nll_pass([sample([2.0, 2.0], 0)], 1.0, moments=True)[3]
+        assert calibration._nll_pass([sample([2.0, 2.0], 0)], 1.0)[3]
 
     def test_one_report_pass_matches_the_wrappers(self, rng):
         samples = [sample(rng.normal(0, 2, size=12), int(rng.integers(0, 12)),

@@ -21,10 +21,10 @@ from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
     SelectionConfig,
     SelectionResult,
+    _aggregate,
     _axis_layouts,
     _layout,
     _result_from_scores,
-    _separable_sums,
     _sums,
     _top_k,
     gaussian_blur,
@@ -393,6 +393,11 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             SelectionConfig(mode="conformal")
 
+    @pytest.mark.parametrize("k", [100.0, 4e3, 2.5, np.nan])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            SelectionConfig(mode="ua_restricted", k=k)
+
     @pytest.mark.parametrize("alpha", [None, 0.0, 1.0])
     def test_tau_zero_degenerate_in_every_aggregation_mode(self, rng, alpha):
         # alpha 0 retains every cell, 1 none; at tau 0 neither matters
@@ -500,8 +505,8 @@ class TestKernelProperties:
     @settings(max_examples=150, deadline=None)
     def test_separable_bit_identical_to_reference(self, field, half, sigma, unit):
         taps = ([np.ones(2 * half + 1)] if unit else [gaussian_kernel(sigma)]) * field.ndim
-        assert np.array_equal(_separable_sums(field, _axis_layouts(field.shape, taps)),
-                              reference_separable_sums(field, taps))
+        sums = _aggregate(ActionGrid(field.shape), field, _axis_layouts(field.shape, taps))
+        assert np.array_equal(sums, reference_separable_sums(field, taps).ravel())
 
     @given(scaled_setups(max_axes=4, max_side=5), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
