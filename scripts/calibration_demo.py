@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 from uacal.action_space import ActionGrid
-from uacal.calibration import ece, fit_temperature, reliability_bins
+from uacal.calibration import fit_temperature, reliability_bins
 from uacal.dataset_io import write_dataset, write_reliability_csv
 from uacal.simbench import make_calibration_set
 
@@ -35,11 +35,10 @@ def main():
     print(f"true temperature {args.gain:g}, fitted {model.temperature:.4f} "
           f"({model.iterations} iterations)")
     for label, T in (("uncalibrated", 1.0), ("calibrated", model.temperature)):
-        e = ece(data, T, args.bins)
         table = reliability_bins(data, T, args.bins)
         csv = outdir / f"reliability_{label}.csv"
         write_reliability_csv(csv, table)
-        print(f"{label}: ECE {e:.4f} -> {csv}")
+        print(f"{label}: ECE {table.ece():.4f} -> {csv}")
 
 
 if __name__ == "__main__":

@@ -129,14 +129,16 @@ def ball_reach(grid: ActionGrid, m: Metric, tau: float) -> list[int]:
 
     Every metric measures k steps along one axis as k * unit, and no offset
     reaches further along an axis than that one, so the reach is the largest
-    k <= min(dims - 1, ceil(tau / unit) - 1) with k * unit < tau (0 when
-    tau == 0).
+    k <= dims - 1 with k * unit < tau (0 when tau == 0). That is dims - 1
+    when (dims - 1) * unit < tau, tested first as tau / unit can overflow
+    there; otherwise it is searched down from ceil(tau / unit), as the
+    rounded quotient can fall either side of an integer k.
     """
     if not 0 <= tau < math.inf:
         raise ParameterError(f"tau must be finite and nonnegative, got {tau}")
     reach = []
     for u, n in zip(m.axis_units(grid), grid.dims):
-        k = min(n - 1, max(0, math.ceil(tau / u) - 1))
+        k = n - 1 if (n - 1) * u < tau else math.ceil(tau / u)
         while k > 0 and k * u >= tau:
             k -= 1
         reach.append(k)

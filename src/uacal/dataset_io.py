@@ -50,16 +50,15 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     that overflows float32 is rejected, not written. The checksum is provenance
     only and is never verified: a temperature is normally applied to a held-out
     dataset, not the one it was fitted on. ``grid`` is required only for an
-    empty sample list.
+    empty sample list; when given, every sample must be on it.
     """
     samples = list(samples)
-    if samples:
-        grids = {s.logits.grid for s in samples}
-        if len(grids) != 1:
-            raise ValidationError("all samples must share a single grid")
+    if grid is None:
+        if not samples:
+            raise ValidationError("an empty dataset needs an explicit grid")
         grid = samples[0].logits.grid
-    elif grid is None:
-        raise ValidationError("an empty dataset needs an explicit grid")
+    if any(s.logits.grid is not grid and s.logits.grid != grid for s in samples):
+        raise ValidationError("all samples must share a single grid")
     for s in samples:
         if not 0 <= s.task_id < 2**32:
             raise ValidationError(f"task id {s.task_id} out of range [0, 2**32)")

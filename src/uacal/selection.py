@@ -87,8 +87,7 @@ class SelectionResult:
     flags: tuple[str, ...] = ()
 
 
-def _result_from_scores(scores: np.ndarray, actions: np.ndarray | None = None,
-                        flags: tuple[str, ...] = ()) -> SelectionResult:
+def _result_from_scores(scores: np.ndarray, actions: np.ndarray | None = None) -> SelectionResult:
     """Lowest-first argmax plus margin; ``actions`` maps positions to flat ids."""
     pos = int(np.argmax(scores))
     best = float(scores[pos])
@@ -99,7 +98,7 @@ def _result_from_scores(scores: np.ndarray, actions: np.ndarray | None = None,
     else:
         gap = 0.0
     action = pos if actions is None else int(actions[pos])
-    return SelectionResult(action, best, gap, int(scores.size), flags)
+    return SelectionResult(action, best, gap, int(scores.size))
 
 
 def _empty_neighborhoods(p: ProbField) -> SelectionResult:
@@ -112,15 +111,14 @@ def greedy_select(p: ProbField) -> SelectionResult:
     return _result_from_scores(p.values)
 
 
-def _shift_add(src: np.ndarray, out: np.ndarray, start: int, stop: int,
-               shifts, weights) -> None:
-    """out[c - start] = sum of weights[k] * src[c + shifts[k]] for c in [start, stop).
+def _shift_add(buf: np.ndarray, start: int, stop: int, shifts, weights) -> None:
+    """buf[c - start] = sum of weights[k] * buf[c + shifts[k]] for c in [start, stop).
 
-    ``src`` must be zero outside [start, stop). One cache-sized chunk of
-    cells at a time, terms in ``k`` order, each read one contiguous slice;
-    reads wholly in the zeros and unit-weight multiplies are skipped, both
-    exactly. A chunk is stored after its reads and later chunks read above
-    it, so ``out`` may be ``src`` when every shift is >= -start.
+    ``buf`` must be zero outside [start, stop) and every shift >= -start.
+    One cache-sized chunk of cells at a time, terms in ``k`` order, each read
+    one contiguous slice; reads wholly in the zeros and unit-weight
+    multiplies are skipped, both exactly. A chunk is stored after its reads
+    and later chunks read above it, so no read sees a stored sum.
     """
     acc_buf, tmp = np.empty((2, min(_CHUNK, stop - start)))
     for a in range(start, stop, _CHUNK):
@@ -129,13 +127,13 @@ def _shift_add(src: np.ndarray, out: np.ndarray, start: int, stop: int,
         acc.fill(0.0)  # so a lone -0.0 term sums to +0.0, as in a zeroed loop
         for s, w in zip(shifts, weights):
             if a + s < stop and b + s > start:
-                term = src[a + s:b + s]
+                term = buf[a + s:b + s]
                 acc += term if w == 1.0 else np.multiply(term, w, out=t)
-        out[a - start:b - start] = acc
+        buf[a - start:b - start] = acc
 
 
 class _Layout(NamedTuple):
-    """Where ``_fill`` puts a field of ``shape``, and the shifts ``_shift_add`` reads.
+    """Where ``_fill`` puts a field, and the shifts ``_shift_add`` reads.
 
     Each axis is zero-padded on its high side only, by the kept offsets'
     reach: a low-side overrun wraps into the previous row's padding, or into
@@ -143,7 +141,6 @@ class _Layout(NamedTuple):
     the ``padded`` shape, and x + kept offset k at that plus ``shifts[k]``.
     """
 
-    shape: tuple[int, ...]
     padded: tuple[int, ...]
     lead: int
     shifts: np.ndarray            # read-only int64, one per kept offset
@@ -165,25 +162,14 @@ def _layout(shape: tuple[int, ...], offsets: np.ndarray, weights=None) -> _Layou
     shifts.flags.writeable = False
     weights = ((1.0,) * len(shifts) if weights is None
                else tuple(np.asarray(weights, dtype=np.float64)[keep].tolist()))
-    return _Layout(tuple(shape), padded, int(reach @ strides), shifts, weights)
+    return _Layout(padded, int(reach @ strides), shifts, weights)
 
 
 def _fill(field: np.ndarray, lay: _Layout) -> np.ndarray:
     """A fresh zero buffer holding ``field`` where ``lay`` puts it."""
     buf = np.zeros(lay.lead + math.prod(lay.padded))
-    buf[lay.lead:].reshape(lay.padded)[tuple(map(slice, lay.shape))] = field
+    buf[lay.lead:].reshape(lay.padded)[tuple(map(slice, field.shape))] = field
     return buf
-
-
-def _sums(field: np.ndarray, lay: _Layout) -> np.ndarray:
-    """sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds x + offsets[k].
-
-    The sums overwrite the ``_fill`` buffer, shifted down by ``lead``.
-    """
-    buf = _fill(field, lay)
-    stop = math.prod(lay.padded)  # lead + flat(shape - 1) + 1: one past the last interior cell
-    _shift_add(buf, buf, lay.lead, stop, lay.shifts.tolist(), lay.weights)
-    return buf[:stop].reshape(lay.padded)[tuple(map(slice, lay.shape))]
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
@@ -207,14 +193,20 @@ def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
 def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
     """``values`` shift-added through each of ``layouts`` in turn, flat order.
 
-    One stencil layout gives its neighborhood sums. One ``_axis_layouts``
-    layout per axis gives, along each axis in turn, out[x] = sum of
-    taps[o + r] * field[x + o] over in-bounds o, added in ascending o, so
-    cells whose clipped windows hold equal values get bit-identical sums.
+    Each layout fills a fresh buffer, shift-adds in place and crops to the
+    grid: sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds
+    x + offsets[k]. One stencil layout gives its neighborhood sums. One
+    ``_axis_layouts`` layout per axis sums along each axis in turn, taps in
+    ascending offset, so cells whose clipped windows hold equal values get
+    bit-identical sums.
     """
     field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
+    crop = tuple(map(slice, grid.dims))
     for lay in layouts:
-        field = _sums(field, lay)
+        buf = _fill(field, lay)
+        stop = math.prod(lay.padded)  # lead + flat(dims - 1) + 1: one past the last cell
+        _shift_add(buf, lay.lead, stop, lay.shifts.tolist(), lay.weights)
+        field = buf[:stop].reshape(lay.padded)[crop]
     return field.ravel()
 
 

@@ -160,6 +160,14 @@ class TestNeighborhood:
         got = neighborhood(grid, m, a, tau).tolist()
         assert got == oracle_neighborhood(grid, m, a, tau)
 
+    @pytest.mark.parametrize("kind", ["euclidean", "chebyshev", "manhattan"])
+    def test_tau_one_ulp_above_a_step(self, kind):
+        # tau / unit rounds down to 3, yet 3 steps measure below tau
+        grid = ActionGrid((6,), (float.fromhex("0x1.0a19e38ead417p+0"),))
+        tau = float.fromhex("0x1.8f26d55603e23p+1")
+        got = neighborhood(grid, Metric(kind), 0, tau).tolist()
+        assert got == oracle_neighborhood(grid, Metric(kind), 0, tau) == [0, 1, 2, 3]
+
     @given(small_grids(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_symmetry(self, grid, data):

@@ -279,6 +279,17 @@ class TestSelect:
         assert code == 3
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, want", [
+        (("--mode", "ua", "--tau", "0"), ["flags degenerate_neighborhood"]),
+        (("--mode", "ua-restricted", "--alpha", "1"), ["flags empty_retained_fallback"]),
+        (("--mode", "ua"), []),
+    ])
+    def test_flags_line(self, dataset, capsys, argv, want):
+        path, _ = dataset
+        code, out = run(capsys, "select", "--dataset", path, "--index", "0", *argv)
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith("flags")] == want
+
     def test_temperature_from_file(self, dataset, tmp_path, capsys):
         path, samples = dataset
         temp_file = tmp_path / "t.txt"

@@ -142,11 +142,13 @@ class TestRoundTrip:
         assert path.stat().st_size == expected_length(grid, 7)
         assert path.stat().st_size == 9 + 4 * 2 + 8 + 7 * (12 + 4 * 6)
 
-    def test_mixed_grids_rejected(self, tmp_path, rng):
-        a = random_samples(rng, ActionGrid((4,)), 1)
-        b = random_samples(rng, ActionGrid((5,)), 1)
-        with pytest.raises(ValidationError):
-            write_dataset(tmp_path / "d.uacl", a + b)
+    # an explicit grid counts as one more grid the samples must share
+    @pytest.mark.parametrize("dims, grid", [([(4,), (5,)], None),
+                                            ([(2, 3), (2, 3)], ActionGrid((3, 2)))])
+    def test_mixed_grids_rejected(self, tmp_path, rng, dims, grid):
+        samples = [s for d in dims for s in random_samples(rng, ActionGrid(d), 1)]
+        with pytest.raises(ValidationError, match="all samples must share a single grid"):
+            write_dataset(tmp_path / "d.uacl", samples, grid=grid)
 
     @pytest.mark.parametrize("task_id", [-1, 2**32])
     def test_task_id_outside_u32_rejected(self, tmp_path, task_id):

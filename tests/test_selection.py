@@ -25,7 +25,6 @@ from uacal.selection import (
     _axis_layouts,
     _layout,
     _result_from_scores,
-    _sums,
     _top_k,
     gaussian_blur,
     gaussian_kernel,
@@ -498,8 +497,8 @@ class TestKernelProperties:
         # field, so the layout must drop the offsets that never land
         grid = ActionGrid(tuple(2 * n if crop else n for n in field.shape))
         offs = ball_offsets(grid, Metric(kind), tau)
-        assert np.array_equal(_sums(field, _layout(field.shape, offs)),
-                              reference_shifted_sums(field, offs))
+        sums = _aggregate(ActionGrid(field.shape), field, (_layout(field.shape, offs),))
+        assert np.array_equal(sums, reference_shifted_sums(field, offs).ravel())
 
     @given(kernel_fields(), st.integers(0, 12), st.floats(0.2, 4.0), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -563,6 +562,8 @@ class TestKernelProperties:
 
     @given(scaled_setups(max_axes=4, max_side=9))
     @example((ActionGrid((4,), (0.1,)), CHEB, 3 * 0.1))  # 3 * 0.1 / 0.1 rounds above 3
+    @example((ActionGrid((4,), (1e-300,)), EUCL, 1e10))  # tau / unit overflows
+    @example((ActionGrid((4,)), Metric("manhattan", (1e-300,)), 1e10))
     @settings(max_examples=200, deadline=None)
     def test_ball_reach_matches_offsets(self, setup):
         grid, metric, tau = setup
