@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Time the temperature fit and the report's statistics on calibrate-offline's
 data shape: 2000 records on a 32x32 grid (two tasks, gain 4, seed 1), as the
-LogitBatch ``read_batch`` returns for it.
+LogitBatch ``read_batch`` returns for it, and the two calls around them that
+hash the dataset: ``write_dataset`` and ``uacal calibrate`` (through
+``cli.main``, stdout captured).
 
 Prints the median and quartiles over REPEATS runs of each timed call.
 The same script compares two checkouts:
@@ -9,12 +11,14 @@ The same script compares two checkouts:
     PYTHONPATH=<checkout>/src python3 scripts/time_fit.py
 """
 
+import contextlib
+import io
 import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from uacal import calibration
+from uacal import calibration, cli
 from uacal.action_space import ActionGrid
 from uacal.dataset_io import read_batch, write_dataset
 from uacal.simbench import make_calibration_set
@@ -49,7 +53,15 @@ def main():
         model = calibration.fit_temperature(batch)
         T = model.temperature
         print(f"n={len(batch)} |A|={grid.size} T={T:.17g} passes={model.iterations}")
+        calibrate = ["calibrate", "--dataset", str(path), "--out", str(Path(tmp) / "t.txt")]
+
+        def run_calibrate():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(calibrate) == 0
+
         cases = {
+            "write_dataset": lambda: write_dataset(path, samples),
+            "uacal calibrate": run_calibrate,
             "fit_temperature": lambda: calibration.fit_temperature(batch),
             "nll": lambda: calibration.nll(batch, T),
             "report statistics": lambda: calibration.calibration_report(batch, T),

@@ -11,13 +11,21 @@ UACL layout, all little-endian:
 
 File length is exactly 9 + 4*ndims + 8 + n*(12 + 4*|A|) bytes. Logits are
 stored f32 and computed on as f64 downstream.
+
+The provenance checksum is the 16-hex-digit BLAKE2b-64 of the whole file.
+``write_dataset`` hashes its buffers on one worker thread while it checks and
+writes them, and ``uacal calibrate`` hashes the bytes it read while it fits;
+hashlib releases the GIL on large buffers, so the hash runs beside the
+other work. The digest is the same as a plain read of the file gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -27,7 +35,7 @@ from .errors import FormatError, RecordError, ValidationError
 
 MAGIC = b"UACL"
 VERSION = 1
-_BLOCK_BYTES = 1 << 20  # record bytes per block that read_dataset reads
+_BLOCK_BYTES = 1 << 20  # bytes per block that read_dataset and dataset_checksum read
 
 
 def _digest(*buffers) -> str:
@@ -36,6 +44,38 @@ def _digest(*buffers) -> str:
     for b in buffers:
         h.update(b)
     return h.hexdigest()
+
+
+@contextlib.contextmanager
+def _digest_on_worker(*buffers):
+    """Run ``_digest(*buffers)`` on one worker thread while the with-block runs.
+
+    Yields a function that joins the worker and returns the digest, or raises
+    what the worker raised. The worker is joined when the block exits, on
+    every path, so it never outlives the call. The buffers must not change
+    until then.
+    """
+    done = {}
+
+    def work():
+        try:
+            done["digest"] = _digest(*buffers)
+        except Exception as exc:  # re-raised by result()
+            done["error"] = exc
+
+    worker = threading.Thread(target=work, name="uacal-digest")
+    worker.start()
+
+    def result() -> str:
+        worker.join()
+        if "error" in done:
+            raise done["error"]
+        return done["digest"]
+
+    try:
+        yield result
+    finally:
+        worker.join()
 
 
 def _record_dtype(grid: ActionGrid) -> np.dtype:
@@ -47,7 +87,9 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     """Serialize samples (all on one grid) to UACL; returns ``dataset_checksum``.
 
     Records pass ``read_batch``'s checks before the file is opened, so a logit
-    that overflows float32 is rejected, not written. The checksum is provenance
+    that overflows float32 is rejected, not written. The checksum is hashed
+    from the in-memory buffers on a worker thread while they are checked and
+    written, and joined before the call returns or raises. It is provenance
     only and is never verified: a temperature is normally applied to a held-out
     dataset, not the one it was fitted on. ``grid`` is required only for an
     empty sample list; when given, every sample must be on it.
@@ -68,18 +110,23 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     with np.errstate(over="ignore"):  # an overflow to inf fails the finiteness check
         for row, s in zip(rec["logits"], samples):
             row[:] = s.logits.values
-    LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
     header = MAGIC + struct.pack(f"<IB{grid.ndim}IQ", VERSION, grid.ndim, *grid.dims,
                                  len(samples))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rec)
-    return _digest(header, rec)
+    with _digest_on_worker(header, rec) as checksum:
+        LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(rec)
+        return checksum()
 
 
 def dataset_checksum(path) -> str:
+    """``_digest`` of the file at ``path``, read _BLOCK_BYTES at a time."""
+    h = hashlib.blake2b(digest_size=8)
     with open(path, "rb") as fh:
-        return _digest(fh.read())
+        while block := fh.read(_BLOCK_BYTES):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _read_exact(fh, n: int, what: str):
@@ -131,9 +178,9 @@ def _checked_records(grid: ActionGrid, rec: np.ndarray, first: int = 0) -> Logit
         raise FormatError(f"record {first + exc.record}: {exc.reason}") from exc
 
 
-def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:
-    """read_batch, plus the file's ``dataset_checksum`` when asked for, taken
-    from the same bytes so the file is read once."""
+def _read_batch(path) -> tuple[LogitBatch, bytearray]:
+    """read_batch, plus the file's bytes that the batch views, from which
+    ``_digest`` gives the file's ``dataset_checksum`` without a second read."""
     with open(path, "rb") as fh:
         grid, n_samples, dtype = _open_records(fh)
         head, size = fh.tell(), expected_length(grid, n_samples)
@@ -142,7 +189,7 @@ def _read_batch(path, checksum: bool = False) -> tuple[LogitBatch, str | None]:
         if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")
     batch = _checked_records(grid, np.frombuffer(data, offset=head, count=n_samples, dtype=dtype))
-    return batch, _digest(data) if checksum else None
+    return batch, data
 
 
 def read_batch(path) -> LogitBatch:

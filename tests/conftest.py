@@ -7,10 +7,12 @@ they can serve as references for the optimized implementations.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from uacal import dataset_io
 from uacal.action_space import ActionGrid, Metric, coords_of
 
 
@@ -111,3 +113,20 @@ def random_prob_field(rng, grid: ActionGrid):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def slow_digest(monkeypatch):
+    """Makes every ``dataset_io._digest`` call take 50 ms longer, so a hash
+    worker that was not joined is still alive when a test looks; returns the
+    list of finished calls' buffer counts."""
+    real, finished = dataset_io._digest, []
+
+    def slow(*buffers):
+        time.sleep(0.05)
+        digest = real(*buffers)
+        finished.append(len(buffers))
+        return digest
+
+    monkeypatch.setattr(dataset_io, "_digest", slow)
+    return finished

@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -128,6 +129,39 @@ class TestCalibrate:
                           "--out", out_file)
             assert code == 0
             assert read_temperature_file(out_file)[1] == expected
+
+    @pytest.mark.parametrize("case, expected", [("fit", 0), ("bad magic", 2),
+                                                ("unknown task", 3), ("strict degenerate", 4)])
+    def test_hash_worker_joined_on_every_exit(self, dataset, tmp_path, capsys, slow_digest,
+                                              case, expected):
+        path, _ = dataset
+        argv = ["calibrate", "--dataset", path, "--out", tmp_path / "t.txt"]
+        if case == "bad magic":
+            path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        elif case == "unknown task":
+            argv += ["--task", "9"]
+        elif case == "strict degenerate":
+            grid = ActionGrid((4,))
+            write_dataset(path, [CalibrationSample(LogitField(grid, np.zeros(4)), 0, 0)] * 3)
+            argv.append("--strict")
+        hashed, before = len(slow_digest), threading.enumerate()
+        code, _ = run(capsys, *argv)
+        assert code == expected
+        assert threading.enumerate() == before
+        # a format error stops before the hash starts; every other exit waits for it
+        assert len(slow_digest) - hashed == (case != "bad magic")
+
+    def test_hash_failure_reaches_the_caller(self, dataset, tmp_path, monkeypatch):
+        path, _ = dataset
+        def broken(*buffers):
+            raise RuntimeError("hash failed")
+        monkeypatch.setattr(dataset_io, "_digest", broken)
+        out_file = tmp_path / "t.txt"
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="hash failed"):
+            main(["calibrate", "--dataset", str(path), "--out", str(out_file)])
+        assert threading.enumerate() == before
+        assert not out_file.exists()
 
     def test_format_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.uacl"

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -96,6 +97,41 @@ class TestChecksum:
         assert len(header) == 21
         assert checksum == hashlib.blake2b(header, digest_size=8).hexdigest()
 
+    def test_checksum_streams_blocks(self, tmp_path, rng, monkeypatch):
+        block = 1 << 16
+        monkeypatch.setattr(dataset_io, "_BLOCK_BYTES", block)
+        path = tmp_path / "blocks.bin"
+        path.write_bytes(rng.bytes(5 * block + 1234))  # a partial last block
+        tracemalloc.start()
+        try:
+            checksum = dataset_checksum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checksum == hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+        assert peak < 3 * block  # a block and the next, never the whole file
+
+
+class TestHashWorker:
+    """write_dataset hashes on a worker thread that it joins on every exit."""
+
+    def test_joined_after_a_write(self, tmp_path, rng, slow_digest):
+        path = tmp_path / "d.uacl"
+        before = threading.enumerate()
+        checksum = write_dataset(path, random_samples(rng, ActionGrid((3, 2)), 20))
+        assert threading.enumerate() == before
+        assert slow_digest == [2]  # header and records, hashed in place
+        assert checksum == hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+
+    def test_hash_failure_reaches_the_caller(self, tmp_path, rng, monkeypatch):
+        def broken(*buffers):
+            raise RuntimeError("hash failed")
+        monkeypatch.setattr(dataset_io, "_digest", broken)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="hash failed"):
+            write_dataset(tmp_path / "d.uacl", random_samples(rng, ActionGrid((4,)), 5))
+        assert threading.enumerate() == before
+
 
 class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
@@ -158,14 +194,17 @@ class TestRoundTrip:
             write_dataset(tmp_path / "d.uacl", [sample])
 
     @pytest.mark.parametrize("k, big", [(0, 1e39), (2, -1e39)])
-    def test_float32_overflow_rejected_before_writing(self, tmp_path, rng, k, big):
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, rng, slow_digest, k, big):
         grid = ActionGrid((2,))
         samples = random_samples(rng, grid, 3)
         samples[k] = CalibrationSample(LogitField(grid, [0.0, big]), 1)
         path = tmp_path / "d.uacl"
         path.write_bytes(b"earlier contents")
+        before = threading.enumerate()
         with pytest.raises(ValidationError, match=rf"record {k}: .*finite"):
             write_dataset(path, samples)
+        assert threading.enumerate() == before  # the hash worker was joined
+        assert slow_digest == [2]
         assert path.read_bytes() == b"earlier contents"
 
 
@@ -253,10 +292,10 @@ class TestFormatProperties:
         grid, samples = dataset
         with tempfile.TemporaryDirectory() as tmp:
             path = written(grid, samples, tmp)
-            batch, checksum = dataset_io._read_batch(path, checksum=True)
-            assert checksum == dataset_checksum(path) == \
+            batch, data = dataset_io._read_batch(path)
+            assert data == path.read_bytes()
+            assert dataset_io._digest(data) == dataset_checksum(path) == \
                 hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
-            assert dataset_io._read_batch(path)[1] is None
             plain = read_batch(path)
         assert np.array_equal(batch.logits, plain.logits)
         assert np.array_equal(batch.experts, plain.experts)
