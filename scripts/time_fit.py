@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the temperature fit and the report's statistics on calibrate-offline's
 data shape: 2000 records on a 32x32 grid (two tasks, gain 4, seed 1), as the
-LogitBatch ``read_batch`` returns for it, and the two calls around them that
-hash the dataset: ``write_dataset`` and ``uacal calibrate`` (through
-``cli.main``, stdout captured).
+LogitBatch ``read_dataset`` returns for it; that read itself; and the two
+calls around them that hash the dataset: ``write_dataset`` and ``uacal
+calibrate`` (through ``cli.main``, stdout captured).
 
 Prints the median and quartiles over REPEATS runs of each timed call.
 The same script compares two checkouts:
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from uacal import calibration, cli
 from uacal.action_space import ActionGrid
-from uacal.dataset_io import read_batch, write_dataset
+from uacal.dataset_io import read_dataset, write_dataset
 from uacal.simbench import make_calibration_set
 
 RECORDS_PER_TASK = 1000
@@ -49,7 +49,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.uacl"
         write_dataset(path, samples)
-        batch = read_batch(path)
+        batch = read_dataset(path)
         model = calibration.fit_temperature(batch)
         T = model.temperature
         print(f"n={len(batch)} |A|={grid.size} T={T:.17g} passes={model.iterations}")
@@ -61,6 +61,7 @@ def main():
 
         cases = {
             "write_dataset": lambda: write_dataset(path, samples),
+            "read_dataset": lambda: read_dataset(path),
             "uacal calibrate": run_calibrate,
             "fit_temperature": lambda: calibration.fit_temperature(batch),
             "nll": lambda: calibration.nll(batch, T),

@@ -3,14 +3,14 @@
 A scalar temperature T divides the logits before softmax. T is fitted by
 minimizing mean negative log-likelihood of the expert actions on a
 calibration set, which is convex in beta = 1/T, via safeguarded Newton
-steps on beta. One blocked pass over a ``LogitBatch`` or a list of
-``CalibrationSample``s (bit-identical results) yields each row block's
-shifted logits z, e = exp(z) and the row sums s; the NLL and its
-derivatives, the reliability table and the entropy all come from those
-three arrays, so each logit is exponentiated once per pass, and the NLL is
-an exact log-softmax at every T. Diagnostics cover expected calibration error
-(ECE), reliability binning, and entropy. All arithmetic is float64
-regardless of storage precision.
+steps on beta. The calibration set is one ``LogitBatch`` (a list of
+``CalibrationSample``s is stacked into one first). One blocked pass over it
+yields each row block's shifted logits z, e = exp(z) and the row sums s;
+the NLL and its derivatives, the reliability table and the entropy all come
+from those three arrays, so each logit is exponentiated once per pass, and
+the NLL is an exact log-softmax at every T. Diagnostics cover expected
+calibration error (ECE), reliability binning, and entropy. All arithmetic is
+float64 regardless of storage precision.
 """
 
 from __future__ import annotations
@@ -78,17 +78,27 @@ class CalibrationSample:
     task_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.expert) < self.logits.grid.size:
+        for name in ("expert", "task_id"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value == int(value)):
+                raise ValidationError(f"{name} {value!r} is not an integer")
+            object.__setattr__(self, name, int(value))
+        if not 0 <= self.expert < self.logits.grid.size:
             raise ValidationError(
                 f"expert index {self.expert} out of range for |A|={self.logits.grid.size}")
-        object.__setattr__(self, "expert", int(self.expert))
-        object.__setattr__(self, "task_id", int(self.task_id))
+
+
+def _not_integers(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that are NaN, infinite or have a fractional part."""
+    return ~(np.isfinite(values) & (values == np.round(values)))
 
 
 @dataclass(frozen=True)
 class LogitBatch:
     """n records on one grid: a read-only (n, |A|) float logit array (float32
-    straight from a UACL file), each record's expert index and task id."""
+    straight from a UACL file), each record's expert index and task id.
+    ``batch[i]`` is record i as a CalibrationSample, and iteration yields
+    every record so."""
 
     grid: ActionGrid
     logits: np.ndarray
@@ -96,23 +106,60 @@ class LogitBatch:
     task_ids: np.ndarray
 
     def __post_init__(self):
-        v, e = np.asarray(self.logits).view(), np.asarray(self.experts)
-        t = np.asarray(self.task_ids, dtype=np.int64)
+        v = np.asarray(self.logits).view()
+        e, t = np.asarray(self.experts), np.asarray(self.task_ids)
         if v.shape != (len(e), self.grid.size) or t.shape != e.shape:
             raise ValidationError(f"{v.shape} logits, {e.shape} experts and {t.shape} "
                                   f"task ids do not fit |A|={self.grid.size}")
-        finite = np.isfinite(v).all(axis=1)
-        bad = np.flatnonzero(~finite | (e < 0) | (e >= self.grid.size))
-        if len(bad):  # the first bad record, as a per-record scan would name it
-            k = bad[0]
-            raise RecordError(int(k), f"expert index {e[k]} out of range for |A|={self.grid.size}"
-                              if finite[k] else "logits must be finite (NaN/Inf rejected)")
+        checks = {"logits must be finite (NaN/Inf rejected)": ~np.isfinite(v).all(axis=1),
+                  "expert index {e} is not an integer": _not_integers(e),
+                  "expert index {e} out of range for |A|={n}": (e < 0) | (e >= self.grid.size),
+                  "task id {t} is not an integer": _not_integers(t)}
+        bad = np.array(list(checks.values()))
+        if bad.any():  # the first bad record, as a per-record scan would name it
+            k = int(bad.any(axis=0).argmax())
+            reason = list(checks)[bad[:, k].argmax()]
+            raise RecordError(k, reason.format(e=e[k], t=t[k], n=self.grid.size))
         v.flags.writeable = False
-        for name, value in zip(("logits", "experts", "task_ids"), (v, e.astype(np.intp), t)):
+        for name, value in zip(("logits", "experts", "task_ids"),
+                               (v, e.astype(np.intp), t.astype(np.int64))):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.experts)
+
+    def __getitem__(self, i) -> CalibrationSample:
+        return CalibrationSample(LogitField(self.grid, self.logits[i]), self.experts[i],
+                                 self.task_ids[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _records(samples, grid: ActionGrid | None = None, rec: np.ndarray | None = None) -> tuple:
+    """Unchecked LogitBatch fields (grid, logits, experts, task ids) of samples
+    all on one grid (``grid`` if given), copied row by row into the "logits",
+    "expert" and "task" fields of the record array rec (default: float64 logits)."""
+    samples = list(samples)
+    if grid is None:
+        if not samples:
+            raise ParameterError("calibration requires a nonempty dataset")
+        grid = samples[0].logits.grid
+    if any(s.logits.grid is not grid and s.logits.grid != grid for s in samples):
+        raise ValidationError("all samples must share a single grid")
+    if rec is None:
+        rec = np.empty(len(samples), [("task", np.int64), ("expert", np.int64),
+                                      ("logits", np.float64, (grid.size,))])
+    rec["task"] = [s.task_id for s in samples]
+    rec["expert"] = [s.expert for s in samples]
+    for row, s in zip(rec["logits"], samples):
+        row[:] = s.logits.values
+    return grid, rec["logits"], rec["expert"], rec["task"]
+
+
+def _as_batch(data) -> LogitBatch:
+    """data itself if it is a LogitBatch, else its samples stacked into one."""
+    return data if isinstance(data, LogitBatch) else LogitBatch(*_records(data))
 
 
 @dataclass(frozen=True)
@@ -172,40 +219,24 @@ def apply_temperature(f: LogitField, T: float) -> ProbField:
     return ProbField(f.grid, _softmax64(f.values / _checked_temperature(T)))
 
 
-def _softmax_blocks(data, T: float):
+def _softmax_blocks(batch: LogitBatch, T: float):
     """Yield (z, e, s, experts, task ids) over row blocks of logits / T.
 
     z is logits / T less its row maximum (so each row's max is exactly 0),
     e = exp(z) and s is e's row sum: log-softmax is z - log(s), exact at any
-    T, and the softmax is e / s. data is a LogitBatch or a sequence of
-    CalibrationSamples, and this is the only place the two differ. Both split
-    into the same blocks of at most _BLOCK_BYTES of float64 (or one row, if
-    a row is larger), so they give bit-identical results and memory does
-    not grow with n. z and e are new arrays for each block, so callers may
-    overwrite them.
+    T, and the softmax is e / s. Blocks hold at most _BLOCK_BYTES of float64
+    (or one row, if a row is larger), so memory does not grow with n. z and
+    e are new arrays for each block, so callers may overwrite them.
     """
-    batch = isinstance(data, LogitBatch)
-    data = data if batch else list(data)
-    if not len(data):
+    if not len(batch):
         raise ParameterError("calibration requires a nonempty dataset")
     T = _checked_temperature(T)
-    grid = data.grid if batch else data[0].logits.grid
-    rows = max(1, _BLOCK_BYTES // (8 * grid.size))
-    for i in range(0, len(data), rows):
-        if batch:
-            z = np.divide(data.logits[i:i + rows], T, dtype=np.float64)
-            experts, tasks = data.experts[i:i + rows], data.task_ids[i:i + rows]
-        else:
-            block = data[i:i + rows]
-            if any(s.logits.grid is not grid and s.logits.grid != grid for s in block):
-                raise ValidationError("all samples must share a single grid")
-            z = np.stack([s.logits.values for s in block])
-            z /= T
-            experts = np.array([s.expert for s in block])
-            tasks = np.array([s.task_id for s in block])
+    rows = max(1, _BLOCK_BYTES // (8 * batch.grid.size))
+    for i in range(0, len(batch), rows):
+        z = np.divide(batch.logits[i:i + rows], T, dtype=np.float64)
         z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
-        yield z, e, e.sum(axis=1), experts, tasks
+        yield z, e, e.sum(axis=1), batch.experts[i:i + rows], batch.task_ids[i:i + rows]
 
 
 def _nll_pass(data, T: float):
@@ -213,7 +244,7 @@ def _nll_pass(data, T: float):
     beta = 1/T, mean(E_p[x] - x_expert) and mean(Var_p[x]) over the raw logits
     x, and whether every row is constant."""
     picked, grads, curvs, flat = [], [], [], True
-    for z, e, s, experts, _ in _softmax_blocks(data, T):
+    for z, e, s, experts, _ in _softmax_blocks(_as_batch(data), T):
         z_expert = z[np.arange(len(z)), experts]
         picked.append(z_expert - np.log(s))
         flat = flat and z.min() == 0.0  # z <= 0 is 0 only at a row's max values
@@ -229,7 +260,7 @@ def _nll_pass(data, T: float):
 def nll(data, T: float) -> float:
     """Mean negative log-likelihood of expert actions at temperature T."""
     picked = [z[np.arange(len(z)), experts] - np.log(s)
-              for z, _, s, experts, _ in _softmax_blocks(data, T)]
+              for z, _, s, experts, _ in _softmax_blocks(_as_batch(data), T)]
     return -float(np.concatenate(picked).mean())
 
 
@@ -244,11 +275,11 @@ def fit_temperature(data) -> TemperatureModel:
     logits are constant the objective is flat in T: the fit returns T=1 with
     the degenerate flag set.
     """
-    data = data if isinstance(data, LogitBatch) else list(data)
+    batch = _as_batch(data)
     b_lo, b_hi = 1.0 / T_MAX, 1.0 / T_MIN
     lo, hi, beta, last = b_lo / 2, b_hi * 2, 1.0, math.inf  # ends outside the domain: open
     for passes in itertools.count(1):
-        value, grad, curv, flat = _nll_pass(data, 1.0 / beta)
+        value, grad, curv, flat = _nll_pass(batch, 1.0 / beta)
         if flat:
             return TemperatureModel(1.0, value, passes, degenerate=True)
         lo, hi = (lo, beta) if grad > 0 else (beta, hi)
@@ -276,7 +307,7 @@ def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
     confs, hits, ids, highs = [], [], [], []
-    for z, e, s, experts, tasks in _softmax_blocks(data, T):
+    for z, e, s, experts, tasks in _softmax_blocks(_as_batch(data), T):
         log_s = np.log(s)
         highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
         ids.append(tasks)

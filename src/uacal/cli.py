@@ -80,7 +80,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    batch = _filter_task(dataset_io.read_batch(args.dataset), args.task)
+    batch = _filter_task(dataset_io.read_dataset(args.dataset), args.task)
     T = _resolve_temperature(args.temperature)
     table, max_entropy = calibration.calibration_report(batch, T, args.bins)
     dataset_io.write_reliability_csv(args.out, table)
@@ -91,7 +91,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_select(args) -> int:
-    batch = dataset_io.read_batch(args.dataset)
+    batch = dataset_io.read_dataset(args.dataset)
     if not 0 <= args.index < len(batch):
         raise UacalError(f"record index {args.index} out of range "
                          f"[0, {len(batch)})")

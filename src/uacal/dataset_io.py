@@ -10,7 +10,8 @@ UACL layout, all little-endian:
     then n records of { task_id: u32, expert_flat: u64, logits: |A| x f32 }
 
 File length is exactly 9 + 4*ndims + 8 + n*(12 + 4*|A|) bytes. Logits are
-stored f32 and computed on as f64 downstream.
+stored f32 and computed on as f64 downstream. ``read_dataset`` returns one
+``LogitBatch`` over the bytes it read, with no per-record work in Python.
 
 The provenance checksum is the 16-hex-digit BLAKE2b-64 of the whole file.
 ``write_dataset`` hashes its buffers on one worker thread while it checks and
@@ -30,12 +31,12 @@ import threading
 import numpy as np
 
 from .action_space import ActionGrid
-from .calibration import CalibrationSample, LogitBatch, LogitField, TemperatureModel
+from .calibration import LogitBatch, TemperatureModel, _records
 from .errors import FormatError, RecordError, ValidationError
 
 MAGIC = b"UACL"
 VERSION = 1
-_BLOCK_BYTES = 1 << 20  # bytes per block that read_dataset and dataset_checksum read
+_BLOCK_BYTES = 1 << 20  # bytes per block that dataset_checksum reads
 
 
 def _digest(*buffers) -> str:
@@ -86,7 +87,7 @@ def _record_dtype(grid: ActionGrid) -> np.dtype:
 def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     """Serialize samples (all on one grid) to UACL; returns ``dataset_checksum``.
 
-    Records pass ``read_batch``'s checks before the file is opened, so a logit
+    Records pass ``read_dataset``'s checks before the file is opened, so a logit
     that overflows float32 is rejected, not written. The checksum is hashed
     from the in-memory buffers on a worker thread while they are checked and
     written, and joined before the call returns or raises. It is provenance
@@ -99,21 +100,16 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
         if not samples:
             raise ValidationError("an empty dataset needs an explicit grid")
         grid = samples[0].logits.grid
-    if any(s.logits.grid is not grid and s.logits.grid != grid for s in samples):
-        raise ValidationError("all samples must share a single grid")
     for s in samples:
         if not 0 <= s.task_id < 2**32:
             raise ValidationError(f"task id {s.task_id} out of range [0, 2**32)")
     rec = np.empty(len(samples), _record_dtype(grid))
-    rec["task"] = [s.task_id for s in samples]
-    rec["expert"] = [s.expert for s in samples]
     with np.errstate(over="ignore"):  # an overflow to inf fails the finiteness check
-        for row, s in zip(rec["logits"], samples):
-            row[:] = s.logits.values
+        fields = _records(samples, grid, rec)
     header = MAGIC + struct.pack(f"<IB{grid.ndim}IQ", VERSION, grid.ndim, *grid.dims,
                                  len(samples))
     with _digest_on_worker(header, rec) as checksum:
-        LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
+        LogitBatch(*fields)
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(rec)
@@ -158,63 +154,31 @@ def expected_length(grid: ActionGrid, n_samples: int) -> int:
     return 9 + 4 * grid.ndim + 8 + n_samples * _record_dtype(grid).itemsize
 
 
-def _open_records(fh) -> tuple[ActionGrid, int, np.dtype]:
-    """Validate fh's header and file length; return (grid, n_samples, record
-    dtype) with fh at the first record."""
-    grid, n_samples = read_header(fh)
-    size, want = os.fstat(fh.fileno()).st_size, expected_length(grid, n_samples)
-    if size != want:
-        raise FormatError(f"file length {size} does not match expected {want} "
-                          f"for {n_samples} samples on dims {grid.dims}")
-    return grid, n_samples, _record_dtype(grid)
-
-
-def _checked_records(grid: ActionGrid, rec: np.ndarray, first: int = 0) -> LogitBatch:
-    """LogitBatch over a record array whose first record is record ``first``
-    of its file; a bad record raises FormatError naming its file ordinal."""
-    try:
-        return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
-    except RecordError as exc:
-        raise FormatError(f"record {first + exc.record}: {exc.reason}") from exc
-
-
 def _read_batch(path) -> tuple[LogitBatch, bytearray]:
-    """read_batch, plus the file's bytes that the batch views, from which
+    """read_dataset, plus the file's bytes that the batch views, from which
     ``_digest`` gives the file's ``dataset_checksum`` without a second read."""
     with open(path, "rb") as fh:
-        grid, n_samples, dtype = _open_records(fh)
+        grid, n_samples = read_header(fh)
         head, size = fh.tell(), expected_length(grid, n_samples)
+        if (have := os.fstat(fh.fileno()).st_size) != size:
+            raise FormatError(f"file length {have} does not match expected {size} "
+                              f"for {n_samples} samples on dims {grid.dims}")
         data = bytearray(size)
         fh.seek(0)
         if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")
-    batch = _checked_records(grid, np.frombuffer(data, offset=head, count=n_samples, dtype=dtype))
-    return batch, data
+    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=_record_dtype(grid))
+    try:
+        return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"]), data
+    except RecordError as exc:  # named by its ordinal in the file
+        raise FormatError(str(exc)) from exc
 
 
-def read_batch(path) -> LogitBatch:
+def read_dataset(path) -> LogitBatch:
     """Parse and validate a UACL file into one LogitBatch whose logits are a
-    read-only float32 view of the record bytes; no per-record work in Python."""
+    read-only float32 view of the record bytes; a bad record raises
+    FormatError naming its ordinal."""
     return _read_batch(path)[0]
-
-
-def read_dataset(path) -> list[CalibrationSample]:
-    """Parse and validate a UACL file into calibration samples, reading and
-    checking about _BLOCK_BYTES of records at a time, so the file's bytes are
-    never held whole next to the float64 samples. Each block's logits are
-    cast to float64 once; its samples hold read-only rows of that array."""
-    samples = []
-    with open(path, "rb") as fh:
-        grid, n_samples, dtype = _open_records(fh)
-        rows = max(1, _BLOCK_BYTES // dtype.itemsize)
-        for first in range(0, n_samples, rows):
-            count = min(rows, n_samples - first)
-            raw = _read_exact(fh, count * dtype.itemsize, f"records {first}-{first + count - 1}")
-            batch = _checked_records(grid, np.frombuffer(raw, dtype), first)
-            samples += [CalibrationSample(LogitField(grid, row), expert, task) for row, expert, task
-                        in zip(batch.logits.astype(np.float64), batch.experts.tolist(),
-                               batch.task_ids.tolist())]
-    return samples
 
 
 def count_samples(path) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_space import ActionGrid, coords_of, flat_index
-from .calibration import CalibrationSample, LogitField, _softmax64, apply_temperature
+from .calibration import LogitBatch, LogitField, _softmax64, apply_temperature
 from .errors import GenerationError, ParameterError
 from .selection import SelectionConfig, select
 
@@ -214,23 +214,23 @@ def evaluate(n_episodes: int, base_seed: int, task: TaskConfig,
 
 
 def make_calibration_set(n_samples: int, gain: float, grid: ActionGrid,
-                         seed: int, task_id: int = 0) -> list[CalibrationSample]:
-    """Synthetic calibration samples with a known miscalibration gain.
+                         seed: int, task_id: int = 0) -> LogitBatch:
+    """Synthetic calibration set with a known miscalibration gain.
 
-    Per sample: true logits ~ N(0, 1) iid over the grid, expert
+    Per record: true logits ~ N(0, 1) iid over the grid, expert
     drawn from softmax(true logits), stored logits = gain * true logits.
     fit_temperature on the result should recover the gain.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     rng = np.random.default_rng(np.random.PCG64(splitmix64(seed, task_id)))
-    samples = []
-    for _ in range(n_samples):
+    logits = np.empty((n_samples, grid.size))
+    experts = np.empty(n_samples, np.int64)
+    for i in range(n_samples):
         true = rng.normal(0.0, 1.0, size=grid.size)
-        expert = int(rng.choice(grid.size, p=_softmax64(true)))
-        samples.append(CalibrationSample(LogitField(grid, gain * true),
-                                         expert, task_id))
-    return samples
+        experts[i] = rng.choice(grid.size, p=_softmax64(true))
+        logits[i] = gain * true
+    return LogitBatch(grid, logits, experts, np.full(n_samples, task_id))
 
 
 # Benchmark presets: (TaskConfig, SynthModelConfig). The "hard" preset is the

@@ -344,6 +344,35 @@ class TestBatchInput:
         with pytest.raises(ParameterError, match="nonempty"):
             fit_temperature(empty)
 
+    @pytest.mark.parametrize("experts,tasks,match", [
+        ([0.9, 2.7], [0, 0], "record 0: expert index 0.9 is not an integer"),
+        ([0, 2.7], [0, 0], "record 1: expert index 2.7 is not an integer"),
+        ([1, np.nan], [0, 0], "record 1: expert index nan is not an integer"),
+        ([1, 2], [0, 1.5], "record 1: task id 1.5 is not an integer"),
+        ([1, 2], [np.inf, 0], "record 0: task id inf is not an integer"),
+        ([1, 2], [0, np.nan], "record 1: task id nan is not an integer"),
+    ])
+    def test_non_integral_ids_name_their_record(self, experts, tasks, match):
+        with pytest.raises(RecordError, match=match):
+            LogitBatch(ActionGrid((3,)), np.zeros((2, 3)), experts, tasks)
+
+    def test_integral_floats_accepted(self):
+        batch = LogitBatch(ActionGrid((3,)), np.zeros((2, 3)), [2.0, 0.0], [7.0, 1.0])
+        assert batch.experts.tolist() == [2, 0] and batch.task_ids.tolist() == [7, 1]
+        assert len(LogitBatch(ActionGrid((3,)), np.zeros((0, 3)), [], [])) == 0
+        whole = sample([0.0, 1.0, 2.0], 2.0, 3.0)
+        assert (whole.expert, whole.task_id) == (2, 3) and type(whole.expert) is int
+
+    @pytest.mark.parametrize("expert,task_id,match", [
+        (1.5, 0, "expert 1.5 is not an integer"),
+        (float("nan"), 0, "expert nan is not an integer"),
+        (1, 0.25, "task_id 0.25 is not an integer"),
+        (1, float("inf"), "task_id inf is not an integer"),
+    ])
+    def test_sample_rejects_non_integral_ids(self, expert, task_id, match):
+        with pytest.raises(ValidationError, match=match):
+            sample([0.0, 1.0, 2.0], expert, task_id)
+
     @pytest.mark.parametrize("other", [ActionGrid((5,)), ActionGrid((2, 2)),
                                        ActionGrid((4,), (0.5,))])
     def test_mixed_grids_rejected(self, rng, other):
@@ -354,6 +383,38 @@ class TestBatchInput:
                      lambda: reliability_bins(samples), lambda: max_entropy_by_task(samples)):
             with pytest.raises(ValidationError, match="all samples must share a single grid"):
                 call()
+
+
+class TestPerRecordAccess:
+    """batch[i] and iteration give each record as a CalibrationSample."""
+
+    def test_records_are_read_only_samples(self, rng):
+        logits = rng.normal(size=(4, 6))
+        batch = LogitBatch(ActionGrid((2, 3)), logits, [5, 0, 3, 1], [2, 2, 0, 1])
+        records = list(batch)
+        assert len(records) == 4
+        assert np.array_equal(batch[-1].logits.values, logits[3]) and batch[-1].expert == 1
+        for k, r in enumerate(records):
+            assert isinstance(r, CalibrationSample) and r.logits.grid == batch.grid
+            assert (r.expert, r.task_id) == (batch.experts[k], batch.task_ids[k])
+            assert np.array_equal(r.logits.values, logits[k])
+            assert not r.logits.values.flags.writeable
+        with pytest.raises(IndexError):
+            batch[4]
+
+    def test_float32_rows_read_as_float64(self, rng):
+        logits = rng.normal(size=(3, 5)).astype(np.float32)
+        batch = LogitBatch(ActionGrid((5,)), logits, [0, 1, 2], [0, 0, 0])
+        assert batch[2].logits.values.dtype == np.float64
+        assert np.array_equal(batch[2].logits.values, logits[2].astype(np.float64))
+
+    def test_generator_returns_one_float64_batch(self):
+        grid = ActionGrid((4, 4))
+        data = make_calibration_set(30, 2.0, grid, seed=8, task_id=3)
+        assert isinstance(data, LogitBatch) and data.grid == grid
+        assert data.logits.dtype == np.float64 and data.logits.shape == (30, 16)
+        assert data.task_ids.tolist() == [3] * 30
+        assert nll(data, 1.5) == nll(list(data), 1.5)
 
 
 class TestSingleExpPass:

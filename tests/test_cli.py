@@ -107,7 +107,7 @@ class TestCalibrate:
         path, _ = dataset
         def refuse(*args):
             raise AssertionError("not on the CLI path")
-        monkeypatch.setattr(dataset_io, "read_dataset", refuse)
+        monkeypatch.setattr(calibration, "CalibrationSample", refuse)  # no per-record views
         monkeypatch.setattr(calibration, "nll", refuse)
         code, out = run(capsys, "calibrate", "--dataset", path, "--out", tmp_path / "t.txt")
         assert code == 0

@@ -19,7 +19,6 @@ from uacal.dataset_io import (
     count_samples,
     dataset_checksum,
     expected_length,
-    read_batch,
     read_dataset,
     read_temperature_file,
     write_dataset,
@@ -137,7 +136,8 @@ class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "d.uacl"
         write_dataset(path, [], grid=ActionGrid((3, 4)))
-        assert read_dataset(path) == []
+        batch = read_dataset(path)
+        assert len(batch) == 0 and batch.logits.shape == (0, 12)
         assert count_samples(path) == 0
 
     def test_single_sample_bit_exact(self, tmp_path, rng):
@@ -296,7 +296,7 @@ class TestFormatProperties:
             assert data == path.read_bytes()
             assert dataset_io._digest(data) == dataset_checksum(path) == \
                 hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
-            plain = read_batch(path)
+            plain = read_dataset(path)
         assert np.array_equal(batch.logits, plain.logits)
         assert np.array_equal(batch.experts, plain.experts)
         assert np.array_equal(batch.task_ids, plain.task_ids)
@@ -339,7 +339,7 @@ class TestReadBatch:
         samples = random_samples(rng, grid, 5, tasks=3)
         path = tmp_path / "d.uacl"
         write_dataset(path, samples)
-        batch = read_batch(path)
+        batch = read_dataset(path)
         assert batch.grid == grid and len(batch) == 5
         assert batch.logits.dtype == np.float32 and batch.logits.shape == (5, 6)
         assert not batch.logits.flags.writeable
@@ -351,34 +351,48 @@ class TestReadBatch:
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "d.uacl"
         write_dataset(path, [], grid=ActionGrid((3, 4)))
-        batch = read_batch(path)
+        batch = read_dataset(path)
         assert len(batch) == 0 and batch.logits.shape == (0, 12)
 
     @given(f32_datasets(min_samples=1), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_agrees_with_read_dataset_across_blocks(self, dataset, rows_per_block):
-        # a block of rows_per_block rows, so up to six records span several blocks
+    def test_records_match_the_file_and_give_the_batch_results(self, dataset, rows_per_block):
+        # calibration blocks of rows_per_block rows, so up to six records span several
         grid, samples = dataset
         with tempfile.TemporaryDirectory() as tmp:
             path = written(grid, samples, tmp)
-            batch, listed, want = read_batch(path), read_dataset(path), reference_records(path)
-        assert len(batch) == len(listed) == len(want) == len(samples)
-        for k, (s, (task, expert, logits)) in enumerate(zip(listed, want)):
-            assert batch.logits[k].tolist() == list(logits) == s.logits.values.tolist()
-            assert (batch.task_ids[k], batch.experts[k]) == (task, expert)
-            assert (s.task_id, s.expert) == (task, expert)
+            batch, want = read_dataset(path), reference_records(path)
+        listed = list(batch)
+        assert len(listed) == len(want) == len(samples)
+        assert [(s.task_id, s.expert, tuple(s.logits.values)) for s in listed] == want
+        assert all(not s.logits.values.flags.writeable for s in listed)
         with mock.patch.object(calibration, "_BLOCK_BYTES", 8 * grid.size * rows_per_block):
             for T in (1.5, 40.0):
                 assert calibration.nll(batch, T) == calibration.nll(listed, T)
                 a = calibration.reliability_bins(batch, T)
                 b = calibration.reliability_bins(listed, T)
-                assert np.array_equal(a.counts, b.counts)
-                assert np.array_equal(a.mean_confidence, b.mean_confidence, equal_nan=True)
+                for name in ("counts", "mean_confidence", "accuracy"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+                assert calibration.max_entropy_by_task(batch, T) == \
+                    calibration.max_entropy_by_task(listed, T)
+
+    def test_peak_memory_is_below_the_float64_logits(self, tmp_path, rng):
+        grid = ActionGrid((8, 8))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 400))
+        tracemalloc.start()
+        try:
+            batch = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 400
+        assert peak < 400 * grid.size * 8  # what float64 copies of the logits alone take
 
 
 class TestStreamingReadDataset:
-    """read_dataset reads _BLOCK_BYTES of records at a time; patched here to
-    a few records, so a small file spans many blocks."""
+    """dataset_io's _BLOCK_BYTES patched to a few records: a small file spans
+    many blocks, and the reader must name and reject the same records."""
 
     @staticmethod
     def blocks_of(grid, records):
@@ -410,34 +424,6 @@ class TestStreamingReadDataset:
         path.write_bytes(path.read_bytes()[:expected_length(grid, 7) + cut])
         with self.blocks_of(grid, 3), pytest.raises(FormatError):
             read_dataset(path)
-
-    def test_agrees_with_read_batch_across_blocks(self, tmp_path, rng):
-        grid = ActionGrid((3, 3))
-        path = tmp_path / "d.uacl"
-        write_dataset(path, random_samples(rng, grid, 10, tasks=4))
-        batch = read_batch(path)
-        with self.blocks_of(grid, 4):
-            listed = read_dataset(path)
-        assert [s.expert for s in listed] == batch.experts.tolist()
-        assert [s.task_id for s in listed] == batch.task_ids.tolist()
-        assert np.array_equal(np.stack([s.logits.values for s in listed]), batch.logits)
-
-    def test_peak_memory_is_the_samples_plus_two_blocks(self, tmp_path, rng):
-        grid = ActionGrid((8, 8))
-        path = tmp_path / "d.uacl"
-        write_dataset(path, random_samples(rng, grid, 400))
-        block = expected_length(grid, 50) - expected_length(grid, 0)
-        with self.blocks_of(grid, 50):
-            tracemalloc.start()
-            try:
-                samples = read_dataset(path)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        # the file is eight blocks; holding it whole would exceed the bound
-        assert len(samples) == 400 and path.stat().st_size > 8 * block
-        assert kept >= 400 * 8 * grid.size  # the float64 logits
-        assert peak <= kept + 2 * block
 
 
 class TestTemperatureFile:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from uacal.action_space import ActionGrid, Metric, flat_index
 from uacal.calibration import LogitField, ece, fit_temperature
+from uacal.dataset_io import write_dataset
 from uacal.errors import GenerationError, ParameterError
 from uacal.selection import SelectionConfig
 from uacal.simbench import (
@@ -203,6 +204,16 @@ class TestSynthesizeLogits:
         data = make_calibration_set(2000, 2.0, ActionGrid((64,)), seed=5)
         model = fit_temperature(data)
         assert abs(model.temperature - 2.0) / 2.0 <= 0.05
+
+
+class TestCalibrationSet:
+    def test_written_bytes_pinned(self, tmp_path):
+        # checksum of the records the per-sample generator drew, recorded
+        # before it filled one array: the draws and their order are unchanged
+        samples = []
+        for t in (0, 1):
+            samples += make_calibration_set(200, 4.0, ActionGrid((8, 8)), seed=1, task_id=t)
+        assert write_dataset(tmp_path / "d.uacl", samples) == "c98589160172383e"
 
 
 class TestRunEpisode:
