@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the temperature fit and the report's statistics on calibrate-offline's
 data shape: 2000 records on a 32x32 grid (two tasks, gain 4, seed 1), as the
-LogitBatch ``read_dataset`` returns for it; that read itself; and the two
-calls around them that hash the dataset: ``write_dataset`` and ``uacal
-calibrate`` (through ``cli.main``, stdout captured).
+LogitBatch ``read_dataset`` returns for it; that read itself; and the three
+parts of a calibrate-offline op: ``write_dataset``, ``uacal calibrate`` and
+``uacal report`` (both through ``cli.main``, stdout captured).
 
 Prints the median and quartiles over REPEATS runs of each timed call.
 The same script compares two checkouts:
@@ -53,16 +53,20 @@ def main():
         model = calibration.fit_temperature(batch)
         T = model.temperature
         print(f"n={len(batch)} |A|={grid.size} T={T:.17g} passes={model.iterations}")
-        calibrate = ["calibrate", "--dataset", str(path), "--out", str(Path(tmp) / "t.txt")]
+        temp = str(Path(tmp) / "t.txt")
+        calibrate = ["calibrate", "--dataset", str(path), "--out", temp]
+        report = ["report", "--dataset", str(path), "--temperature", temp,
+                  "--out", str(Path(tmp) / "r.csv")]
 
-        def run_calibrate():
+        def run_cli(argv):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(calibrate) == 0
+                assert cli.main(argv) == 0
 
         cases = {
             "write_dataset": lambda: write_dataset(path, samples),
             "read_dataset": lambda: read_dataset(path),
-            "uacal calibrate": run_calibrate,
+            "uacal calibrate": lambda: run_cli(calibrate),
+            "uacal report": lambda: run_cli(report),  # reads the calibrate case's T
             "fit_temperature": lambda: calibration.fit_temperature(batch),
             "nll": lambda: calibration.nll(batch, T),
             "report statistics": lambda: calibration.calibration_report(batch, T),

@@ -11,12 +11,23 @@ from those three arrays, so each logit is exponentiated once per pass, and
 the NLL is an exact log-softmax at every T. Diagnostics cover expected
 calibration error (ECE), reliability binning, and entropy. All arithmetic is
 float64 regardless of storage precision.
+
+A pass runs its row blocks on two lanes, the calling thread and one worker
+thread, each with its own 512 KiB z and e buffers; numpy releases the GIL
+inside its loops, so the lanes overlap. The per-block figures are joined in
+block order, and each row's figures come from that row alone, so a pass
+gives the same bits on two lanes as on one. They also do not depend on the
+block size for rows of up to 8192 cells; numpy's einsum sums a longer row
+that is alone in its block in 8192-cell chunks, which can move the last
+bits of its E_p[z].
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +39,7 @@ T_MIN = 1e-2
 T_MAX = 1e2
 LOG_T_TOL = 1e-5
 DEFAULT_BINS = 15
-_BLOCK_BYTES = 1 << 20  # float64 bytes per row block of logits
+_BLOCK_BYTES = 1 << 19  # float64 bytes per row block of logits, per lane
 
 
 @dataclass(frozen=True)
@@ -138,22 +149,30 @@ class LogitBatch:
 
 def _records(samples, grid: ActionGrid | None = None, rec: np.ndarray | None = None) -> tuple:
     """Unchecked LogitBatch fields (grid, logits, experts, task ids) of samples
-    all on one grid (``grid`` if given), copied row by row into the "logits",
-    "expert" and "task" fields of the record array rec (default: float64 logits)."""
-    samples = list(samples)
+    all on one grid (``grid`` if given), copied into the "logits", "expert"
+    and "task" fields of the record array rec (default: float64 logits): a
+    LogitBatch's arrays one field at a time, a sample sequence row by row."""
+    if isinstance(samples, LogitBatch):
+        grids, tasks, experts = [samples.grid], samples.task_ids, samples.experts
+    else:
+        samples = list(samples)
+        grids = [s.logits.grid for s in samples]
+        tasks, experts = [s.task_id for s in samples], [s.expert for s in samples]
     if grid is None:
-        if not samples:
+        if not grids:
             raise ParameterError("calibration requires a nonempty dataset")
-        grid = samples[0].logits.grid
-    if any(s.logits.grid is not grid and s.logits.grid != grid for s in samples):
+        grid = grids[0]
+    if any(g is not grid and g != grid for g in grids):
         raise ValidationError("all samples must share a single grid")
     if rec is None:
         rec = np.empty(len(samples), [("task", np.int64), ("expert", np.int64),
                                       ("logits", np.float64, (grid.size,))])
-    rec["task"] = [s.task_id for s in samples]
-    rec["expert"] = [s.expert for s in samples]
-    for row, s in zip(rec["logits"], samples):
-        row[:] = s.logits.values
+    rec["task"], rec["expert"] = tasks, experts
+    if isinstance(samples, LogitBatch):
+        rec["logits"] = samples.logits
+    else:
+        for row, s in zip(rec["logits"], samples):
+            row[:] = s.logits.values
     return grid, rec["logits"], rec["expert"], rec["task"]
 
 
@@ -219,49 +238,92 @@ def apply_temperature(f: LogitField, T: float) -> ProbField:
     return ProbField(f.grid, _softmax64(f.values / _checked_temperature(T)))
 
 
-def _softmax_blocks(batch: LogitBatch, T: float):
-    """Yield (z, e, s, experts, task ids) over row blocks of logits / T.
+def _softmax_blocks(batch: LogitBatch, T: float, fn) -> list:
+    """[fn(z, e, s, experts, task ids) for each row block of logits / T], in
+    block order, run on two lanes: the calling thread and one worker thread.
 
     z is logits / T less its row maximum (so each row's max is exactly 0),
     e = exp(z) and s is e's row sum: log-softmax is z - log(s), exact at any
     T, and the softmax is e / s. Blocks hold at most _BLOCK_BYTES of float64
-    (or one row, if a row is larger), so memory does not grow with n. z and
-    e are new arrays for each block, so callers may overwrite them.
+    (or one row, if a row is larger). Each lane takes the next block from one
+    shared counter as it comes free and fills its own z and e buffers, made
+    here once per pass, so memory does not grow with n; fn may overwrite z
+    and e but must not return them. fn's figures for a block do not depend
+    on the lane that computed it. The worker runs in a copy of the caller's
+    context (so np.errstate holds there too) and is joined on every exit;
+    the first lane error is raised here. A batch of one block starts no
+    thread.
     """
     if not len(batch):
         raise ParameterError("calibration requires a nonempty dataset")
     T = _checked_temperature(T)
     rows = max(1, _BLOCK_BYTES // (8 * batch.grid.size))
-    for i in range(0, len(batch), rows):
-        z = np.divide(batch.logits[i:i + rows], T, dtype=np.float64)
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        yield z, e, e.sum(axis=1), batch.experts[i:i + rows], batch.task_ids[i:i + rows]
+    starts = range(0, len(batch), rows)
+    shape = (min(2, len(starts)), min(rows, len(batch)), batch.grid.size)
+    zs, es = np.empty((2, *shape))
+    results, errors = [None] * len(starts), []
+    blocks, lock = iter(enumerate(starts)), threading.Lock()
+
+    def lane(z_buf, e_buf):
+        while not errors:
+            with lock:
+                k, i = next(blocks, (None, None))
+            if k is None:
+                return
+            try:
+                x = batch.logits[i:i + rows]
+                z = np.divide(x, T, dtype=np.float64, out=z_buf[:len(x)])
+                z -= z.max(axis=1, keepdims=True)
+                e = np.exp(z, out=e_buf[:len(x)])
+                results[k] = fn(z, e, e.sum(axis=1), batch.experts[i:i + rows],
+                                batch.task_ids[i:i + rows])
+            except Exception as exc:  # raised by the caller once both lanes stop
+                errors.append(exc)
+
+    worker = None
+    if len(starts) > 1:
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(lane, zs[1], es[1]), name="uacal-lane")
+        worker.start()
+    try:
+        lane(zs[0], es[0])
+    finally:
+        if worker is not None:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _nll_rows(z, e, s, experts, _):
+    """A block's per-row log-softmax at the expert, E_p[z] - z_expert and
+    Var_p[z], and whether every row is constant."""
+    z_expert = z[np.arange(len(z)), experts]
+    # z <= 0 is 0 only at a row's max values; the first row settles most blocks
+    flat = z[0].min() == 0.0 and z.min() == 0.0
+    mean = np.einsum("ij,ij->i", e, z) / s
+    picked = z_expert - np.log(s)
+    z -= mean[:, None]
+    return picked, mean - z_expert, np.einsum("ij,ij,ij->i", e, z, z) / s, flat
 
 
 def _nll_pass(data, T: float):
     """(NLL, gradient, curvature, flat) at T: the mean NLL, its derivatives in
     beta = 1/T, mean(E_p[x] - x_expert) and mean(Var_p[x]) over the raw logits
     x, and whether every row is constant."""
-    picked, grads, curvs, flat = [], [], [], True
-    for z, e, s, experts, _ in _softmax_blocks(_as_batch(data), T):
-        z_expert = z[np.arange(len(z)), experts]
-        picked.append(z_expert - np.log(s))
-        flat = flat and z.min() == 0.0  # z <= 0 is 0 only at a row's max values
-        mean = np.einsum("ij,ij->i", e, z) / s
-        grads.append(mean - z_expert)
-        z -= mean[:, None]
-        curvs.append(np.einsum("ij,ij,ij->i", e, z, z) / s)
+    picked, grads, curvs, flats = zip(*_softmax_blocks(_as_batch(data), T, _nll_rows))
     value, grad, curv = (float(np.concatenate(x).mean()) for x in (picked, grads, curvs))
     # z is x / T less a per-row constant: scale by T and T^2
-    return -value, T * grad, T * T * curv, bool(flat)
+    return -value, T * grad, T * T * curv, bool(all(flats))
+
+
+def _picked(z, e, s, experts, _):
+    return z[np.arange(len(z)), experts] - np.log(s)
 
 
 def nll(data, T: float) -> float:
     """Mean negative log-likelihood of expert actions at temperature T."""
-    picked = [z[np.arange(len(z)), experts] - np.log(s)
-              for z, _, s, experts, _ in _softmax_blocks(_as_batch(data), T)]
-    return -float(np.concatenate(picked).mean())
+    return -float(np.concatenate(_softmax_blocks(_as_batch(data), T, _picked)).mean())
 
 
 def fit_temperature(data) -> TemperatureModel:
@@ -296,6 +358,14 @@ def fit_temperature(data) -> TemperatureModel:
     return TemperatureModel(1.0 / beta, value, passes, at_bound=pinned)
 
 
+def _report_rows(z, e, s, experts, tasks):
+    """A block's per-row top probability, hit, task id and entropy."""
+    log_s = np.log(s)
+    high = log_s - np.einsum("ij,ij->i", e, z) / s
+    z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
+    return np.exp(-log_s), z.argmax(axis=1) == experts, tasks, high
+
+
 def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
                        ) -> tuple[ReliabilityTable, dict[int, float]]:
     """(ReliabilityTable, {task id: max entropy}) at T from one blocked pass.
@@ -306,14 +376,7 @@ def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
     """
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
-    confs, hits, ids, highs = [], [], [], []
-    for z, e, s, experts, tasks in _softmax_blocks(_as_batch(data), T):
-        log_s = np.log(s)
-        highs.append(log_s - np.einsum("ij,ij->i", e, z) / s)
-        ids.append(tasks)
-        z -= log_s[:, None]  # log-softmax, whose row max is -log(s) exactly
-        confs.append(np.exp(-log_s))
-        hits.append(z.argmax(axis=1) == experts)
+    confs, hits, ids, highs = zip(*_softmax_blocks(_as_batch(data), T, _report_rows))
     conf = np.concatenate(confs)
     correct = np.concatenate(hits)
     # equal-width bins on [0,1]; confidence 1.0 lands in the top bin

@@ -85,7 +85,8 @@ def _record_dtype(grid: ActionGrid) -> np.dtype:
 
 
 def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
-    """Serialize samples (all on one grid) to UACL; returns ``dataset_checksum``.
+    """Serialize samples (a LogitBatch, or samples all on one grid) to UACL;
+    returns ``dataset_checksum``.
 
     Records pass ``read_dataset``'s checks before the file is opened, so a logit
     that overflows float32 is rejected, not written. The checksum is hashed
@@ -95,14 +96,16 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     dataset, not the one it was fitted on. ``grid`` is required only for an
     empty sample list; when given, every sample must be on it.
     """
-    samples = list(samples)
+    if not isinstance(samples, LogitBatch):
+        samples = list(samples)
     if grid is None:
-        if not samples:
+        if not len(samples):
             raise ValidationError("an empty dataset needs an explicit grid")
         grid = samples[0].logits.grid
-    for s in samples:
-        if not 0 <= s.task_id < 2**32:
-            raise ValidationError(f"task id {s.task_id} out of range [0, 2**32)")
+    tasks = np.asarray(samples.task_ids if isinstance(samples, LogitBatch)
+                       else [s.task_id for s in samples])
+    if (bad := (tasks < 0) | (tasks >= 2**32)).any():
+        raise ValidationError(f"task id {tasks[bad.argmax()]} out of range [0, 2**32)")
     rec = np.empty(len(samples), _record_dtype(grid))
     with np.errstate(over="ignore"):  # an overflow to inf fails the finiteness check
         fields = _records(samples, grid, rec)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -80,6 +82,53 @@ def two_exp_pass(data, T):
     value = -float(np.concatenate(picked).mean())
     grad, curv = (float(np.concatenate(x).mean()) for x in (grads, curvs))
     return value, T * grad, T * T * curv, flat
+
+
+def one_lane_blocks(batch, T, fn):
+    """calibration._softmax_blocks on the calling thread alone: the same row
+    blocks, each with fresh z and e arrays, one after another."""
+    rows = max(1, calibration._BLOCK_BYTES // (8 * batch.grid.size))
+    out = []
+    for i in range(0, len(batch), rows):
+        z = np.divide(batch.logits[i:i + rows], T, dtype=np.float64)
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        out.append(fn(z, e, e.sum(axis=1), batch.experts[i:i + rows],
+                      batch.task_ids[i:i + rows]))
+    return out
+
+
+def results(batch):
+    """Every figure of a fit and a report on batch, as exact values: the
+    model with T and NLL as hex, the NLL at three T, the table and entropies."""
+    model = fit_temperature(batch)
+    table, highs = calibration.calibration_report(batch, model.temperature, 9)
+    return (model.temperature.hex(), model.final_nll.hex(), model.iterations,
+            model.degenerate, model.at_bound,
+            [nll(batch, T).hex() for T in (0.3, 1.0, 7.0)],
+            [getattr(table, f).tobytes() for f in ("counts", "mean_confidence", "accuracy")],
+            {k: v.hex() for k, v in highs.items()})
+
+
+def lane_batch(blocks, seed=0):
+    """(batch, block bytes) for ``blocks`` row blocks of 4 rows on 24 cells,
+    the last one ragged (3 rows)."""
+    data = make_calibration_set(4 * blocks - 1, 3.0, ActionGrid((24,)), seed=seed)
+    tasks = np.arange(len(data)) % 3
+    return LogitBatch(data.grid, data.logits, data.experts, tasks), 8 * 24 * 4
+
+
+def both_lanes_enter():
+    """A function each lane's block function calls first: a lane's first call
+    waits until the other lane holds a block too, so both surely take one."""
+    barrier, entered = threading.Barrier(2), set()
+
+    def enter():
+        lane = threading.current_thread()
+        if lane not in entered:
+            entered.add(lane)
+            barrier.wait(timeout=10)
+    return enter
 
 
 class TestFieldTypes:
@@ -605,3 +654,99 @@ class TestEntropy:
             v /= v.sum()
             h = entropy(ProbField(ActionGrid((n,)), v))
             assert -1e-12 <= h <= math.log(n) + 1e-12
+
+
+class TestTwoLanes:
+    """The pass's row blocks run on the caller and one worker thread, with the
+    figures of a one-lane run in block order."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+    def test_bit_identical_to_one_lane(self, blocks):
+        batch, block_bytes = lane_batch(blocks)
+        with mock.patch.object(calibration, "_BLOCK_BYTES", block_bytes):
+            got = results(batch)
+            with mock.patch.object(calibration, "_softmax_blocks", one_lane_blocks):
+                want = results(batch)
+        assert got == want
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+    def test_results_in_block_order_and_one_block_starts_no_thread(self, blocks):
+        batch, block_bytes = lane_batch(blocks)
+        caller, seen = threading.current_thread(), []
+
+        def rows(z, e, s, experts, tasks):
+            seen.append(threading.current_thread())
+            return experts.copy()
+
+        with mock.patch.object(calibration, "_BLOCK_BYTES", block_bytes):
+            got = calibration._softmax_blocks(batch, 1.0, rows)
+        assert np.array_equal(np.concatenate(got), batch.experts)
+        assert len(seen) == blocks
+        if blocks == 1:
+            assert seen == [caller]  # no thread started
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_lane_error_reaches_the_caller(self, where):
+        batch, block_bytes = lane_batch(5)
+        caller, enter = threading.current_thread(), both_lanes_enter()
+
+        def rows(z, e, s, experts, tasks):
+            enter()
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise RuntimeError(f"failed on the {where}")
+            return experts
+
+        before = threading.enumerate()
+        with mock.patch.object(calibration, "_BLOCK_BYTES", block_bytes), \
+                pytest.raises(RuntimeError, match=f"failed on the {where}"):
+            calibration._softmax_blocks(batch, 1.0, rows)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("divide", ["raise", "ignore"])
+    def test_worker_keeps_the_callers_errstate(self, divide):
+        batch, block_bytes = lane_batch(5)
+        caller, enter = threading.current_thread(), both_lanes_enter()
+
+        def rows(z, e, s, experts, tasks):
+            enter()
+            if threading.current_thread() is not caller:
+                np.log(np.zeros(1))  # divide by zero
+            return experts
+
+        with mock.patch.object(calibration, "_BLOCK_BYTES", block_bytes), \
+                np.errstate(divide=divide):
+            if divide == "raise":
+                with pytest.raises(FloatingPointError):
+                    calibration._softmax_blocks(batch, 1.0, rows)
+            else:
+                calibration._softmax_blocks(batch, 1.0, rows)
+
+
+class TestLaneStress:
+    """Four callers, each with its own two lanes, under a tiny switch interval."""
+
+    def test_concurrent_fits_and_reports_match_serial_runs(self):
+        batches = [lane_batch(5 + k, seed=k)[0] for k in range(4)]
+        with mock.patch.object(calibration, "_BLOCK_BYTES", 8 * 24 * 4):
+            want = [results(b) for b in batches]
+            got, errors = [None] * len(batches), []
+
+            def run(k):
+                try:
+                    got[k] = results(batches[k])
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(batches))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert got == want

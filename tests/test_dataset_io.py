@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from uacal import calibration, dataset_io
 from uacal.action_space import ActionGrid
-from uacal.calibration import CalibrationSample, LogitField, TemperatureModel
+from uacal.calibration import CalibrationSample, LogitBatch, LogitField, TemperatureModel
 from uacal.dataset_io import (
     count_samples,
     dataset_checksum,
@@ -25,6 +25,7 @@ from uacal.dataset_io import (
     write_temperature_file,
 )
 from uacal.errors import FormatError, ValidationError
+from uacal.simbench import make_calibration_set
 
 
 def random_samples(rng, grid, n, tasks=1):
@@ -207,6 +208,46 @@ class TestRoundTrip:
         assert slow_digest == [2]
         assert path.read_bytes() == b"earlier contents"
 
+    @pytest.mark.parametrize("source", ["f32 read_dataset", "f64 make_calibration_set"])
+    def test_batch_writes_the_bytes_of_its_samples(self, tmp_path, source):
+        grid = ActionGrid((3, 4))
+        batch = make_calibration_set(40, 2.0, grid, seed=5, task_id=7)
+        if source.startswith("f32"):
+            batch = read_dataset(written(grid, list(batch), tmp_path))
+        assert batch.logits.dtype == (np.float32 if source.startswith("f32") else np.float64)
+        from_batch, from_list = tmp_path / "batch.uacl", tmp_path / "list.uacl"
+        checksum = write_dataset(from_batch, batch)
+        assert checksum == write_dataset(from_list, list(batch))
+        assert from_batch.read_bytes() == from_list.read_bytes()
+        assert checksum == dataset_checksum(from_batch)
+
+    @pytest.mark.parametrize("k, big", [(0, 1e39), (2, -1e39)])
+    def test_float32_overflow_in_a_batch_rejected_before_writing(self, tmp_path, slow_digest,
+                                                                 k, big):
+        grid = ActionGrid((2,))
+        logits = np.zeros((3, 2))
+        logits[k, 1] = big
+        batch = LogitBatch(grid, logits, [1, 0, 1], [0, 0, 0])
+        path = tmp_path / "d.uacl"
+        path.write_bytes(b"earlier contents")
+        before = threading.enumerate()
+        with pytest.raises(ValidationError, match=rf"record {k}: .*finite"):
+            write_dataset(path, batch)
+        assert threading.enumerate() == before
+        assert slow_digest == [2]
+        assert path.read_bytes() == b"earlier contents"
+
+    @pytest.mark.parametrize("task_id", [-1, 2**32])
+    def test_batch_task_id_outside_u32_rejected(self, tmp_path, task_id):
+        batch = LogitBatch(ActionGrid((2,)), np.zeros((2, 2)), [0, 1], [0, task_id])
+        with pytest.raises(ValidationError, match=rf"task id {task_id}\b"):
+            write_dataset(tmp_path / "d.uacl", batch)
+
+    def test_batch_on_another_grid_rejected(self, tmp_path):
+        batch = LogitBatch(ActionGrid((2, 3)), np.zeros((1, 6)), [0], [0])
+        with pytest.raises(ValidationError, match="all samples must share a single grid"):
+            write_dataset(tmp_path / "d.uacl", batch, grid=ActionGrid((3, 2)))
+
 
 class TestCorruption:
     def _write(self, tmp_path, rng, n=3):
@@ -255,6 +296,32 @@ class TestCorruption:
         data[off:off + 4] = struct.pack("<f", np.inf)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="record 2: .*finite"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("k", [0, 2, 3, 7, 10])
+    @pytest.mark.parametrize("bad", ["expert", "logit"])
+    def test_corrupt_record_names_its_ordinal(self, tmp_path, rng, k, bad):
+        grid = ActionGrid((2, 3))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 11))
+        raw = bytearray(path.read_bytes())
+        start = expected_length(grid, k)
+        if bad == "expert":
+            raw[start + 4:start + 12] = struct.pack("<Q", grid.size)
+        else:
+            raw[start + 12 + 8:start + 16 + 8] = struct.pack("<f", np.inf)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"^record {k}:"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("cut", [1, 5, 13, 40])
+    def test_truncation_inside_a_later_record_rejected(self, tmp_path, rng, cut):
+        grid = ActionGrid((5,))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 9))
+        # cut bytes into record 7
+        path.write_bytes(path.read_bytes()[:expected_length(grid, 7) + cut])
+        with pytest.raises(FormatError):
             read_dataset(path)
 
 
@@ -388,42 +455,6 @@ class TestReadBatch:
             tracemalloc.stop()
         assert len(batch) == 400
         assert peak < 400 * grid.size * 8  # what float64 copies of the logits alone take
-
-
-class TestStreamingReadDataset:
-    """dataset_io's _BLOCK_BYTES patched to a few records: a small file spans
-    many blocks, and the reader must name and reject the same records."""
-
-    @staticmethod
-    def blocks_of(grid, records):
-        return mock.patch.object(dataset_io, "_BLOCK_BYTES",
-                                 expected_length(grid, records) - expected_length(grid, 0))
-
-    @pytest.mark.parametrize("k", [0, 2, 3, 7, 10])
-    @pytest.mark.parametrize("bad", ["expert", "logit"])
-    def test_corrupt_record_in_a_later_block_names_its_ordinal(self, tmp_path, rng, k, bad):
-        grid = ActionGrid((2, 3))
-        path = tmp_path / "d.uacl"
-        write_dataset(path, random_samples(rng, grid, 11))
-        raw = bytearray(path.read_bytes())
-        start = expected_length(grid, k)
-        if bad == "expert":
-            raw[start + 4:start + 12] = struct.pack("<Q", grid.size)
-        else:
-            raw[start + 12 + 8:start + 16 + 8] = struct.pack("<f", np.inf)
-        path.write_bytes(bytes(raw))
-        with self.blocks_of(grid, 3), pytest.raises(FormatError, match=rf"^record {k}:"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize("cut", [1, 5, 13, 40])
-    def test_truncation_inside_a_block_rejected(self, tmp_path, rng, cut):
-        grid = ActionGrid((5,))
-        path = tmp_path / "d.uacl"
-        write_dataset(path, random_samples(rng, grid, 9))
-        # inside the third block of three records: record 7, cut bytes in
-        path.write_bytes(path.read_bytes()[:expected_length(grid, 7) + cut])
-        with self.blocks_of(grid, 3), pytest.raises(FormatError):
-            read_dataset(path)
 
 
 class TestTemperatureFile:
