@@ -12,11 +12,11 @@ the NLL is an exact log-softmax at every T. Diagnostics cover expected
 calibration error (ECE), reliability binning, and entropy. All arithmetic is
 float64 regardless of storage precision.
 
-A pass runs its row blocks on two lanes, the calling thread and one worker
-thread, each with its own 512 KiB z and e buffers; numpy releases the GIL
-inside its loops, so the lanes overlap. The per-block figures are joined in
-block order, and each row's figures come from that row alone, so a pass
-gives the same bits on two lanes as on one. They also do not depend on the
+A pass runs its row blocks on two lanes, the calling thread and one
+``_beside`` worker, each with its own 512 KiB z and e buffers; numpy releases
+the GIL inside its loops, so the lanes overlap. The per-block figures are
+joined in block order, and each row's figures come from that row alone, so a
+pass gives the same bits on two lanes as on one. They also do not depend on the
 block size for rows of up to 8192 cells; numpy's einsum sums a longer row
 that is alone in its block in 8192-cell chunks, which can move the last
 bits of its E_p[z].
@@ -24,6 +24,7 @@ bits of its E_p[z].
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import itertools
 import math
@@ -238,21 +239,55 @@ def apply_temperature(f: LogitField, T: float) -> ProbField:
     return ProbField(f.grid, _softmax64(f.values / _checked_temperature(T)))
 
 
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Run fn(*args) on one worker thread, in a copy of the caller's context
+    (so the caller's np.errstate holds in fn), while the with-block runs.
+
+    Yields a function that joins the worker and returns fn's result or raises
+    fn's error. The worker is joined when the block exits, on every path; an
+    error of the block is raised in place of fn's. fn's arguments must not
+    change until then.
+    """
+    # A plain thread, not a ThreadPoolExecutor: an executor variant raised
+    # calibrate-offline's peak RSS from 64.3-64.6 to 66.7-72.5 MB, past the 5%
+    # bound, through glibc's per-thread malloc arenas (MALLOC_ARENA_MAX=1 evens it).
+    done = {}
+
+    def work():
+        try:
+            done["result"] = fn(*args)
+        except BaseException as exc:  # raised by result()
+            done["error"] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+
+    def result():
+        worker.join()
+        if "error" in done:
+            raise done["error"]
+        return done["result"]
+
+    try:
+        yield result
+    finally:
+        worker.join()
+
+
 def _softmax_blocks(batch: LogitBatch, T: float, fn) -> list:
     """[fn(z, e, s, experts, task ids) for each row block of logits / T], in
-    block order, run on two lanes: the calling thread and one worker thread.
+    block order, on two lanes: the calling thread and a ``_beside`` worker.
 
     z is logits / T less its row maximum (so each row's max is exactly 0),
     e = exp(z) and s is e's row sum: log-softmax is z - log(s), exact at any
     T, and the softmax is e / s. Blocks hold at most _BLOCK_BYTES of float64
     (or one row, if a row is larger). Each lane takes the next block from one
-    shared counter as it comes free and fills its own z and e buffers, made
+    shared iterator as it comes free and fills its own z and e buffers, made
     here once per pass, so memory does not grow with n; fn may overwrite z
     and e but must not return them. fn's figures for a block do not depend
-    on the lane that computed it. The worker runs in a copy of the caller's
-    context (so np.errstate holds there too) and is joined on every exit;
-    the first lane error is raised here. A batch of one block starts no
-    thread.
+    on the lane that computed it. A lane error is raised once the other lane
+    has run the remaining blocks. A batch of one block starts no thread.
     """
     if not len(batch):
         raise ParameterError("calibration requires a nonempty dataset")
@@ -261,37 +296,27 @@ def _softmax_blocks(batch: LogitBatch, T: float, fn) -> list:
     starts = range(0, len(batch), rows)
     shape = (min(2, len(starts)), min(rows, len(batch)), batch.grid.size)
     zs, es = np.empty((2, *shape))
-    results, errors = [None] * len(starts), []
-    blocks, lock = iter(enumerate(starts)), threading.Lock()
+    results, blocks, lock = [None] * len(starts), iter(enumerate(starts)), threading.Lock()
 
     def lane(z_buf, e_buf):
-        while not errors:
+        while True:
             with lock:
                 k, i = next(blocks, (None, None))
             if k is None:
                 return
-            try:
-                x = batch.logits[i:i + rows]
-                z = np.divide(x, T, dtype=np.float64, out=z_buf[:len(x)])
-                z -= z.max(axis=1, keepdims=True)
-                e = np.exp(z, out=e_buf[:len(x)])
-                results[k] = fn(z, e, e.sum(axis=1), batch.experts[i:i + rows],
-                                batch.task_ids[i:i + rows])
-            except Exception as exc:  # raised by the caller once both lanes stop
-                errors.append(exc)
+            x = batch.logits[i:i + rows]
+            z = np.divide(x, T, dtype=np.float64, out=z_buf[:len(x)])
+            z -= z.max(axis=1, keepdims=True)
+            e = np.exp(z, out=e_buf[:len(x)])
+            results[k] = fn(z, e, e.sum(axis=1), batch.experts[i:i + rows],
+                            batch.task_ids[i:i + rows])
 
-    worker = None
-    if len(starts) > 1:
-        worker = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(lane, zs[1], es[1]), name="uacal-lane")
-        worker.start()
-    try:
+    if len(starts) == 1:
         lane(zs[0], es[0])
-    finally:
-        if worker is not None:
-            worker.join()
-    if errors:
-        raise errors[0]
+    else:
+        with _beside(lane, zs[1], es[1]) as other:
+            lane(zs[0], es[0])
+            other()
     return results
 
 

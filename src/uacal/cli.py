@@ -4,8 +4,7 @@ Exit codes: 0 success, 2 dataset format error, 3 parameter error,
 4 degenerate fit under --strict.
 
 ``calibrate`` hashes the dataset bytes it read for the temperature file's
-``dataset_checksum`` on one worker thread while it fits; the worker is joined
-before the file is written, and on every error exit.
+``dataset_checksum`` on a ``calibration._beside`` worker while it fits.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def _selection_config(args, mode: str) -> selection.SelectionConfig:
 
 def cmd_calibrate(args) -> int:
     batch, data = dataset_io._read_batch(args.dataset)
-    with dataset_io._digest_on_worker(data) as checksum:
+    with calibration._beside(dataset_io._digest, data) as checksum:
         model = calibration.fit_temperature(_filter_task(batch, args.task))
     dataset_io.write_temperature_file(args.out, model, checksum())
     print(f"temperature {model.temperature:.17g} nll {model.final_nll:.17g} "

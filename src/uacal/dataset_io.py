@@ -14,24 +14,22 @@ stored f32 and computed on as f64 downstream. ``read_dataset`` returns one
 ``LogitBatch`` over the bytes it read, with no per-record work in Python.
 
 The provenance checksum is the 16-hex-digit BLAKE2b-64 of the whole file.
-``write_dataset`` hashes its buffers on one worker thread while it checks and
-writes them, and ``uacal calibrate`` hashes the bytes it read while it fits;
-hashlib releases the GIL on large buffers, so the hash runs beside the
-other work. The digest is the same as a plain read of the file gives.
+``write_dataset`` hashes its buffers on a ``calibration._beside`` worker
+while it checks and writes them, and ``uacal calibrate`` hashes the bytes it
+read while it fits; hashlib releases the GIL on large buffers. The digest
+is the same as a plain read of the file gives.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import struct
-import threading
 
 import numpy as np
 
 from .action_space import ActionGrid
-from .calibration import LogitBatch, TemperatureModel, _records
+from .calibration import LogitBatch, TemperatureModel, _beside, _records
 from .errors import FormatError, RecordError, ValidationError
 
 MAGIC = b"UACL"
@@ -47,40 +45,16 @@ def _digest(*buffers) -> str:
     return h.hexdigest()
 
 
-@contextlib.contextmanager
-def _digest_on_worker(*buffers):
-    """Run ``_digest(*buffers)`` on one worker thread while the with-block runs.
-
-    Yields a function that joins the worker and returns the digest, or raises
-    what the worker raised. The worker is joined when the block exits, on
-    every path, so it never outlives the call. The buffers must not change
-    until then.
-    """
-    done = {}
-
-    def work():
-        try:
-            done["digest"] = _digest(*buffers)
-        except Exception as exc:  # re-raised by result()
-            done["error"] = exc
-
-    worker = threading.Thread(target=work, name="uacal-digest")
-    worker.start()
-
-    def result() -> str:
-        worker.join()
-        if "error" in done:
-            raise done["error"]
-        return done["digest"]
-
-    try:
-        yield result
-    finally:
-        worker.join()
+def _record_bytes(grid: ActionGrid) -> int:
+    return 12 + 4 * grid.size
 
 
-def _record_dtype(grid: ActionGrid) -> np.dtype:
-    """The one packed UACL record layout, shared by the writer and the reader."""
+def _record_dtype(grid: ActionGrid, error) -> np.dtype:
+    """The one packed UACL record layout, shared by the writer and the reader;
+    a grid whose record numpy cannot describe raises ``error``."""
+    if (size := _record_bytes(grid)) >= 2**31:  # numpy item sizes are C ints
+        raise error(f"a record on dims {grid.dims} takes {size} bytes; "
+                    f"the limit is 2**31 - 1")
     return np.dtype([("task", "<u4"), ("expert", "<u8"), ("logits", "<f4", (grid.size,))])
 
 
@@ -106,12 +80,12 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
                        else [s.task_id for s in samples])
     if (bad := (tasks < 0) | (tasks >= 2**32)).any():
         raise ValidationError(f"task id {tasks[bad.argmax()]} out of range [0, 2**32)")
-    rec = np.empty(len(samples), _record_dtype(grid))
+    rec = np.empty(len(samples), _record_dtype(grid, ValidationError))
     with np.errstate(over="ignore"):  # an overflow to inf fails the finiteness check
         fields = _records(samples, grid, rec)
     header = MAGIC + struct.pack(f"<IB{grid.ndim}IQ", VERSION, grid.ndim, *grid.dims,
                                  len(samples))
-    with _digest_on_worker(header, rec) as checksum:
+    with _beside(_digest, header, rec) as checksum:
         LogitBatch(*fields)
         with open(path, "wb") as fh:
             fh.write(header)
@@ -154,7 +128,7 @@ def read_header(fh):
 
 
 def expected_length(grid: ActionGrid, n_samples: int) -> int:
-    return 9 + 4 * grid.ndim + 8 + n_samples * _record_dtype(grid).itemsize
+    return 9 + 4 * grid.ndim + 8 + n_samples * _record_bytes(grid)
 
 
 def _read_batch(path) -> tuple[LogitBatch, bytearray]:
@@ -162,6 +136,7 @@ def _read_batch(path) -> tuple[LogitBatch, bytearray]:
     ``_digest`` gives the file's ``dataset_checksum`` without a second read."""
     with open(path, "rb") as fh:
         grid, n_samples = read_header(fh)
+        dtype = _record_dtype(grid, FormatError)
         head, size = fh.tell(), expected_length(grid, n_samples)
         if (have := os.fstat(fh.fileno()).st_size) != size:
             raise FormatError(f"file length {have} does not match expected {size} "
@@ -170,7 +145,7 @@ def _read_batch(path) -> tuple[LogitBatch, bytearray]:
         fh.seek(0)
         if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")
-    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=_record_dtype(grid))
+    rec = np.frombuffer(data, offset=head, count=n_samples, dtype=dtype)
     try:
         return LogitBatch(grid, rec["logits"], rec["expert"], rec["task"]), data
     except RecordError as exc:  # named by its ordinal in the file

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -720,6 +721,31 @@ class TestTwoLanes:
                     calibration._softmax_blocks(batch, 1.0, rows)
             else:
                 calibration._softmax_blocks(batch, 1.0, rows)
+
+
+class TestBeside:
+    """calibration._beside, for what the pass's and the hashes' tests do not reach."""
+
+    def test_block_error_while_fn_runs_joins_the_worker(self):
+        started, finished = threading.Event(), []
+
+        def slow():
+            started.set()
+            time.sleep(0.1)
+            finished.append(True)
+
+        before = threading.enumerate()
+        with pytest.raises(KeyError, match="the block failed"):
+            with calibration._beside(slow):
+                assert started.wait(timeout=10)
+                raise KeyError("the block failed")
+        assert threading.enumerate() == before
+        assert finished == [True]
+
+    def test_fn_sees_the_callers_errstate(self):
+        with np.errstate(over="raise", divide="ignore", under="warn"):
+            with calibration._beside(np.geterr) as seen:
+                assert seen() == np.geterr()
 
 
 class TestLaneStress:

@@ -1,4 +1,5 @@
 import re
+import struct
 import threading
 
 import numpy as np
@@ -162,6 +163,18 @@ class TestCalibrate:
             main(["calibrate", "--dataset", str(path), "--out", str(out_file)])
         assert threading.enumerate() == before
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("dims", [(233, 1103, 2089), (100000, 100000)])
+    @pytest.mark.parametrize("command", ["calibrate", "report", "select"])
+    def test_oversized_record_exit_2(self, tmp_path, capsys, dims, command):
+        path = tmp_path / "big.uacl"
+        path.write_bytes(b"UACL" + struct.pack(f"<IB{len(dims)}IQ", 1, len(dims), *dims, 0))
+        argv = [command, "--dataset", path]
+        argv += ["--index", "0", "--mode", "ua"] if command == "select" else \
+            ["--out", tmp_path / "out"]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error:") and f"dims {dims}" in err
 
     def test_format_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.uacl"

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tempfile
 import threading
@@ -323,6 +324,48 @@ class TestCorruption:
         path.write_bytes(path.read_bytes()[:expected_length(grid, 7) + cut])
         with pytest.raises(FormatError):
             read_dataset(path)
+
+
+# a record of 2**31 + 8 bytes, past numpy's int32 item size, and one of ~40 GB
+OVERSIZED_DIMS = [(233, 1103, 2089), (100000, 100000)]
+
+
+def header_only(path, dims, n):
+    path.write_bytes(b"UACL" + struct.pack(f"<IB{len(dims)}IQ", 1, len(dims), *dims, n))
+    return path
+
+
+class TestOversizedRecords:
+    """A grid whose record numpy cannot describe is refused by name, before
+    anything the size of a record is allocated."""
+
+    def test_expected_length_is_exact(self):
+        grid = ActionGrid(OVERSIZED_DIMS[0])
+        assert grid.size == 2**29 - 1
+        assert expected_length(grid, 0) == 9 + 4 * 3 + 8
+        assert expected_length(grid, 1) == 29 + 12 + 4 * (2**29 - 1)
+
+    @pytest.mark.parametrize("dims", OVERSIZED_DIMS)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_reader_raises_format_error(self, tmp_path, dims, n):
+        path = header_only(tmp_path / "d.uacl", dims, n)
+        assert count_samples(path) == n  # the header itself is well formed
+        with pytest.raises(FormatError, match=re.escape(f"dims {dims}")):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("dims", OVERSIZED_DIMS)
+    def test_writer_raises_validation_error(self, tmp_path, dims):
+        path = tmp_path / "d.uacl"
+        with pytest.raises(ValidationError, match=re.escape(f"dims {dims}")):
+            write_dataset(path, [], grid=ActionGrid(dims))
+        assert not path.exists()
+
+    def test_largest_record_numpy_describes_is_accepted(self, tmp_path):
+        dims = (2**29 - 4,)  # a record of 2**31 - 4 bytes
+        path = header_only(tmp_path / "d.uacl", dims, 0)
+        assert len(read_dataset(path)) == 0
+        write_dataset(path, [], grid=ActionGrid(dims))
+        assert path.stat().st_size == expected_length(ActionGrid(dims), 0)
 
 
 class TestFormatProperties:
