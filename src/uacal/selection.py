@@ -22,34 +22,46 @@ zero-padded, flattened field through the stencil's layout (``ua_exact``,
 exact, so each cell gets the clipped sums' terms in their order. Every mode
 breaks ties by lowest flat index and is bit-deterministic.
 
+The full-field aggregate cuts the grid along axis 0 into slabs of at least
+_SLAB_CELLS cells, and runs them on two lanes, the calling thread and one
+``calibration._beside`` worker; a grid of one slab runs on the caller alone.
+Each slab's rows get the bits the whole grid gives them, so results do not
+depend on the cut or the lane. Each lane's scratch holds one slab and is
+made once per call.
+
 Where a field goes in the padded buffer and which shifts are added (its
 ``_Layout``) depend on the configuration alone: (grid, metric, tau) for the
 stencil, (dims, reach) for ``ua_fast`` and (dims, sigma) for ``gaussian``.
-Each kernel keeps its last ``_LAYOUTS_KEPT`` layouts in an LRU cache, and
-every call fills a fresh buffer. A kept stencil holds at most |A| shifts and
-a kept tap layout fewer than 2 * dims[ax] per axis, so the caches stay
-bounded by the grid.
+Each kernel keeps its last ``_LAYOUTS_KEPT`` layouts in an LRU cache. A kept
+stencil holds at most |A| shifts and a kept tap layout fewer than
+2 * dims[ax] per axis, so the caches stay bounded by the grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .action_space import ActionGrid, Metric, ball_offsets, ball_reach
-from .calibration import ProbField
+from .calibration import ProbField, _beside
 from .errors import ParameterError, UnsupportedConfigError
 
 MODES = ("greedy", "ua_exact", "ua_fast", "ua_restricted", "gaussian")
 
 DEFAULT_K = 4000          # top-k cap on retained actions in restricted search
-_CHUNK = 1 << 14          # output cells per shift-add pass (128 KiB of float64)
+# A lane's numpy adds must be long: two threads adding 16K-cell slices ran
+# slower than one, through GIL hand-offs, and 48K-64K-cell ones 1.6x faster
+# (2 vCPUs); yet a slab and its sums should stay in a core's 2 MiB L2.
+_SLAB_CELLS = 1 << 16     # output cells per slab of rows, at least: a lane's unit of work
+_CHUNK = 1 << 16          # output cells per shift-add step, at least (below 2x; 512 KiB of float64)
 _LAYOUTS_KEPT = 16        # layouts each kernel's cache keeps, least recently used first out
 _DENSE_SHARE = 0.08       # candidates/|A| from which ua_restricted scores every cell
+_SUMMED_SIGMA = 64.0      # Gaussian sigma from which a far tail is summed in closed form
 
 
 @dataclass(frozen=True)
@@ -111,29 +123,35 @@ def greedy_select(p: ProbField) -> SelectionResult:
     return _result_from_scores(p.values)
 
 
-def _shift_add(buf: np.ndarray, start: int, stop: int, shifts, weights) -> None:
-    """buf[c - start] = sum of weights[k] * buf[c + shifts[k]] for c in [start, stop).
+def _shift_add(dst: np.ndarray, src: np.ndarray, first: int, shifts, weights,
+               tmp: np.ndarray) -> None:
+    """dst[i] = sum of weights[k] * src[first + i + shifts[k]] over k, in k order.
 
-    ``buf`` must be zero outside [start, stop) and every shift >= -start.
-    One cache-sized chunk of cells at a time, terms in ``k`` order, each read
-    one contiguous slice; reads wholly in the zeros and unit-weight
-    multiplies are skipped, both exactly. A chunk is stored after its reads
-    and later chunks read above it, so no read sees a stored sum.
+    A term whose read falls outside ``src`` is skipped: it stands for a zero
+    of the padded field, and adding +0.0 is exact. Even chunks of at least
+    _CHUNK cells (or all of ``dst``), each term one contiguous slice;
+    unit-weight multiplies, the only ones ``tmp`` is not needed for, are
+    skipped too. ``dst`` must not overlap ``src``.
     """
-    acc_buf, tmp = np.empty((2, min(_CHUNK, stop - start)))
-    for a in range(start, stop, _CHUNK):
-        b = min(a + _CHUNK, stop)
-        acc, t = acc_buf[:b - a], tmp[:b - a]
+    n, m = len(dst), len(src)
+    size = -(-n // max(1, n // _CHUNK))
+    for a in range(0, n, size):
+        width = min(size, n - a)
+        acc, t = dst[a:a + width], tmp[:width]
         acc.fill(0.0)  # so a lone -0.0 term sums to +0.0, as in a zeroed loop
         for s, w in zip(shifts, weights):
-            if a + s < stop and b + s > start:
-                term = buf[a + s:b + s]
+            i = first + s + a
+            if 0 <= i <= m - width:
+                term = src[i:i + width]
                 acc += term if w == 1.0 else np.multiply(term, w, out=t)
-        buf[a - start:b - start] = acc
+            elif -width < i < m:  # clip the read to src, and the sums with it
+                k, l = max(-i, 0), min(width, m - i)
+                term, part = src[i + k:i + l], acc[k:l]
+                part += term if w == 1.0 else np.multiply(term, w, out=t[k:l])
 
 
 class _Layout(NamedTuple):
-    """Where ``_fill`` puts a field, and the shifts ``_shift_add`` reads.
+    """Where ``_fill`` and ``_slab_sums`` put a field, and the shifts read.
 
     Each axis is zero-padded on its high side only, by the kept offsets'
     reach: a low-side overrun wraps into the previous row's padding, or into
@@ -190,24 +208,95 @@ def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
     return _layout(grid.dims, ball_offsets(grid, metric, tau)) if lay is None else lay
 
 
+def _slab_sums(field: np.ndarray, out: np.ndarray, a: int, b: int, layouts,
+               scratch: np.ndarray, acc_at: int, tmp_at: int) -> None:
+    """Rows [a, b) of ``_aggregate``'s result, into the same rows of ``out``.
+
+    Every layout runs in turn on these rows, each pass reading the previous
+    one's from ``out``; a pass that reaches along axis 0 also reads that
+    many rows (the halo) either side, which only the first may do unless
+    [a, b) is every row. A first pass whose layout pads no axis but axis 0
+    reads the field where it is and sums into ``out``, its reads beyond the
+    field skipped. Any other pass lays its rows out in ``scratch`` as they lie
+    in the padded field, with row a at the layout's lead, the halo below it in
+    the lead zeros' place and zeros around, and sums into ``scratch[acc_at:]``
+    before cropping into ``out``. Either way each cell adds the terms it adds
+    in the whole padded field, in order. ``scratch[tmp_at:]`` takes weighted
+    terms.
+    """
+    dims = field.shape
+    buf, acc, tmp = scratch[:acc_at], scratch[acc_at:tmp_at], scratch[tmp_at:]
+    crop = (slice(None),) + tuple(map(slice, dims[1:]))
+    src = field
+    for lay in layouts:
+        r, row = lay.padded[0] - dims[0], math.prod(lay.padded[1:])
+        lo, hi = max(0, a - r), min(dims[0], b + r)
+        if src is field and lay.padded[1:] == dims[1:]:
+            _shift_add(out[a:b].reshape(-1), field[lo:hi].reshape(-1), (a - lo) * row,
+                       lay.shifts.tolist(), lay.weights, tmp)
+        else:
+            padded = buf[:2 * lay.lead + (b - a) * row]
+            padded.fill(0.0)
+            base = lay.lead - (a - lo) * row
+            padded[base:base + (hi - lo) * row].reshape(
+                (hi - lo,) + lay.padded[1:])[crop] = src[lo:hi]
+            sums = acc[:(b - a) * row]
+            _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
+            out[a:b] = sums.reshape((b - a,) + lay.padded[1:])[crop]
+        src = out
+
+
 def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
     """``values`` shift-added through each of ``layouts`` in turn, flat order.
 
-    Each layout fills a fresh buffer, shift-adds in place and crops to the
-    grid: sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds
+    sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds
     x + offsets[k]. One stencil layout gives its neighborhood sums. One
     ``_axis_layouts`` layout per axis sums along each axis in turn, taps in
     ascending offset, so cells whose clipped windows hold equal values get
     bit-identical sums.
+
+    The grid is cut along axis 0 into slabs of at least _SLAB_CELLS cells (all
+    of it if a layout after the first reaches along axis 0), and
+    ``_slab_sums`` gives each slab's rows the bits the whole grid gives them.
+    Slabs go to two lanes, the calling thread and a ``_beside`` worker, as each
+    comes free; a grid of one slab runs on the caller alone. Each lane's
+    scratch holds one slab and is made here once per call, so memory stays
+    bounded by the grid. A lane error is raised once the other lane is done.
     """
-    field = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    crop = tuple(map(slice, grid.dims))
-    for lay in layouts:
-        buf = _fill(field, lay)
-        stop = math.prod(lay.padded)  # lead + flat(dims - 1) + 1: one past the last cell
-        _shift_add(buf, lay.lead, stop, lay.shifts.tolist(), lay.weights)
-        field = buf[:stop].reshape(lay.padded)[crop]
-    return field.ravel()
+    dims = grid.dims
+    field = np.asarray(values, dtype=np.float64).reshape(dims)
+    out = np.empty(dims)
+    rows = -(-_SLAB_CELLS // math.prod(dims[1:]))
+    lead = row = 0
+    weighted = False
+    for i, lay in enumerate(layouts):
+        if i and lay.padded[0] > dims[0]:
+            rows = dims[0]
+        if i or lay.padded[1:] != dims[1:]:  # a pass through scratch
+            lead, row = max(lead, lay.lead), max(row, math.prod(lay.padded[1:]))
+        weighted = weighted or lay.weights.count(1.0) < len(lay.weights)
+    slab = min(rows, dims[0])
+    acc_at = 2 * lead + slab * row
+    tmp_at = acc_at + slab * row
+    tmp_len = min(slab * max(row, math.prod(dims[1:])), 2 * _CHUNK) if weighted else 0
+    if slab == dims[0]:
+        _slab_sums(field, out, 0, slab, layouts, np.empty(tmp_at + tmp_len), acc_at, tmp_at)
+        return out.reshape(-1)
+    scratch = np.empty((2, tmp_at + tmp_len))
+    starts, lock = iter(range(0, dims[0], rows)), threading.Lock()
+
+    def lane(scratch):
+        while True:
+            with lock:
+                a = next(starts, None)
+            if a is None:
+                return
+            _slab_sums(field, out, a, min(a + rows, dims[0]), layouts, scratch, acc_at, tmp_at)
+
+    with _beside(lane, scratch[1]) as other:
+        lane(scratch[0])
+        other()
+    return out.reshape(-1)
 
 
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
@@ -246,8 +335,8 @@ def _box_layouts(dims: tuple[int, ...], reach: tuple[int, ...]) -> tuple[_Layout
 
 @functools.lru_cache(maxsize=_LAYOUTS_KEPT)
 def _gaussian_layouts(dims: tuple[int, ...], sigma: float) -> tuple[_Layout, ...]:
-    """``gaussian_kernel(sigma)`` along every axis."""
-    return _axis_layouts(dims, [gaussian_kernel(sigma)] * len(dims))
+    """``gaussian_kernel(sigma)`` along every axis, built from its taps that land."""
+    return _axis_layouts(dims, [_gaussian_taps(sigma, max(dims) - 1)] * len(dims))
 
 
 def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
@@ -320,6 +409,31 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     x = np.arange(-r, r + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
+
+
+def _gaussian_taps(sigma: float, reach: int) -> np.ndarray:
+    """``gaussian_kernel(sigma)``'s taps within ``reach`` of its centre.
+
+    While every tap is within reach or sigma < _SUMMED_SIGMA, this is a slice
+    of ``gaussian_kernel(sigma)``, bit for bit. Otherwise only the kept taps
+    are built, and the normaliser, the sum of all 2 * ceil(3 * sigma) + 1
+    taps, is sigma * sqrt(2 pi) (the whole line's sum, exact at such sigma)
+    less both tails beyond the radius, each summed by the Euler-Maclaurin
+    formula to its third derivative. It matched a correctly rounded sum to
+    2 ulp for sigma from 64 to 3e5, and its cost does not grow with sigma.
+    """
+    r = math.ceil(3.0 * sigma)
+    if r <= reach or sigma < _SUMMED_SIGMA:
+        return gaussian_kernel(sigma)[r - min(r, reach):r + min(r, reach) + 1]
+    x = np.arange(-reach, reach + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    a, v = r + 1.0, sigma * sigma
+    f = math.exp(-0.5 * (a / sigma) ** 2)
+    d1 = -a / v * f
+    d3 = (3 * a / v ** 2 - a ** 3 / v ** 3) * f
+    tail = (sigma * math.sqrt(math.pi / 2) * math.erfc(a / (sigma * math.sqrt(2)))
+            + f / 2 - d1 / 12 + d3 / 720)
+    return k / (sigma * math.sqrt(2 * math.pi) - 2 * tail)
 
 
 def gaussian_blur(grid: ActionGrid, values: np.ndarray, sigma: float) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +18,7 @@ from uacal.action_space import (
     coords_of,
     flat_index,
 )
+from uacal import calibration
 from uacal.calibration import LogitField, ProbField, apply_temperature, softmax
 from uacal.errors import ParameterError, UnsupportedConfigError
 from uacal.selection import (
@@ -620,6 +623,16 @@ class TestKernelMemory:
         assert peaks[1] <= 1.1 * peaks[0]
         assert max(peaks) <= 8 * p.values.nbytes
 
+    @pytest.mark.parametrize("dims", [(64, 64, 64), (100, 100, 100)])
+    def test_two_lane_peak_bounded_by_grid(self, dims):
+        # both lanes' slab buffers and the result, made once per call
+        grid = ActionGrid(dims)
+        p = random_prob_field(np.random.default_rng(4), grid)
+        for mode in ("ua_exact", "ua_fast"):
+            cfg = SelectionConfig(metric=CHEB, tau=4.5, mode=mode)
+            select(p, cfg)  # the layout is built outside the traced call
+            assert self.peak_bytes(lambda: select(p, cfg)) <= 3 * p.values.nbytes
+
 
 LAYOUT_CACHES = (selection._kept_stencil_layout, selection._box_layouts,
                  selection._gaussian_layouts)
@@ -728,3 +741,187 @@ class TestLayoutCache:
                      for tau in (diag, 1000.0)]
             assert peaks[1] <= 1.1 * peaks[0]
             assert peaks[0] <= 1.1 * peaks[1]
+
+
+@st.composite
+def slab_cuts(draw):
+    """(_SLAB_CELLS, _CHUNK) small enough to cut a test field into many slabs
+    of a row or more, and each slab into several chunks (of 8 cells or more,
+    so a call makes at most ~|A|/8 chunks)."""
+    return draw(st.integers(1, 200)), draw(st.integers(8, 64))
+
+
+@st.composite
+def slab_fields(draw):
+    """``kernel_fields`` and fields of one or two rows along axis 0."""
+    field = draw(kernel_fields())
+    if draw(st.booleans()):
+        field = field[:draw(st.integers(1, 2))]
+    return field
+
+
+def modes_by_reference(field, kind, tau, sigma):
+    """{mode: (config, reference sums)} for every full-field mode on ``field``."""
+    grid = ActionGrid(field.shape)
+    metric = Metric(kind)
+    stencil = reference_shifted_sums(field, ball_offsets(grid, metric, tau)).ravel()
+    out = {"ua_exact": (SelectionConfig(metric=metric, tau=tau), stencil),
+           "ua_restricted": (SelectionConfig(metric=metric, tau=tau, alpha=0.0, k=grid.size,
+                                             mode="ua_restricted"), stencil)}
+    if kind == "chebyshev" and field.ndim <= 3:
+        taps = [np.ones(2 * h + 1) for h in ball_reach(grid, metric, tau)]
+        out["ua_fast"] = (SelectionConfig(metric=metric, tau=tau, mode="ua_fast"),
+                          reference_separable_sums(field, taps).ravel())
+    if field.ndim <= 2:
+        out["gaussian"] = (SelectionConfig(sigma=sigma, mode="gaussian"),
+                           reference_separable_sums(field, [gaussian_kernel(sigma)] * field.ndim)
+                           .ravel())
+    return out
+
+
+class TestSlabs:
+    """``_aggregate`` cut into many slabs gives the whole-grid sums, bit for bit."""
+
+    @given(slab_fields(), st.sampled_from(KINDS),
+           st.floats(0.05, 4.0) | st.floats(4.0, 30.0) | st.just(1000.0), slab_cuts())
+    @settings(max_examples=150, deadline=None)
+    def test_stencil_bit_identical_to_reference(self, field, kind, tau, cut):
+        # tau up to 1000 gives halos of more rows than a one-row slab holds
+        offs = ball_offsets(ActionGrid(field.shape), Metric(kind), tau)
+        with mock.patch.object(selection, "_SLAB_CELLS", cut[0]), \
+                mock.patch.object(selection, "_CHUNK", cut[1]):
+            sums = _aggregate(ActionGrid(field.shape), field, (_layout(field.shape, offs),))
+        assert sums.tobytes() == reference_shifted_sums(field, offs).ravel().tobytes()
+
+    @given(slab_fields(), st.integers(0, 12), st.floats(0.2, 4.0), st.booleans(), slab_cuts())
+    @settings(max_examples=150, deadline=None)
+    def test_separable_bit_identical_to_reference(self, field, half, sigma, unit, cut):
+        taps = ([np.ones(2 * half + 1)] if unit else [gaussian_kernel(sigma)]) * field.ndim
+        with mock.patch.object(selection, "_SLAB_CELLS", cut[0]), \
+                mock.patch.object(selection, "_CHUNK", cut[1]):
+            sums = _aggregate(ActionGrid(field.shape), field, _axis_layouts(field.shape, taps))
+        assert sums.tobytes() == reference_separable_sums(field, taps).ravel().tobytes()
+
+    @given(slab_fields(), st.sampled_from(KINDS), st.floats(0.5, 6.0) | st.just(1000.0),
+           st.floats(0.2, 4.0), slab_cuts())
+    @settings(max_examples=100, deadline=None)
+    def test_every_mode_selects_as_its_reference(self, field, kind, tau, sigma, cut):
+        # the selected action and score of each mode, against the clipped-slice
+        # stencil (or per-axis reference) on the same field
+        p = ProbField(ActionGrid(field.shape), (field + 1.0).ravel() / (field + 1.0).sum())
+        values = p.values.reshape(field.shape)
+        for mode, (cfg, want) in modes_by_reference(values, kind, tau, sigma).items():
+            with mock.patch.object(selection, "_SLAB_CELLS", cut[0]), \
+                    mock.patch.object(selection, "_CHUNK", cut[1]):
+                res = select(p, cfg)
+            best = _result_from_scores(want)
+            assert (res.action, res.aggregated_score) == (best.action, best.aggregated_score), mode
+
+
+def both_lanes_enter():
+    """A function each lane calls first: a lane's first call waits until the
+    other lane holds a slab too, so both surely take one."""
+    barrier, entered = threading.Barrier(2), set()
+
+    def enter():
+        lane = threading.current_thread()
+        if lane not in entered:
+            entered.add(lane)
+            barrier.wait(timeout=10)
+    return enter
+
+
+class TestLanes:
+    GRID = ActionGrid((12, 10, 8))
+
+    def every_mode(self, p):
+        """Every 3-axis full-field kernel on p: at _SLAB_CELLS = 80, each slab
+        is one row of GRID, so every call runs on two lanes."""
+        cfgs = [SelectionConfig(metric=EUCL, tau=2.5), SelectionConfig(metric=CHEB, tau=4.5),
+                SelectionConfig(metric=CHEB, tau=4.5, mode="ua_fast"),
+                SelectionConfig(metric=EUCL, tau=2.5, alpha=0.0, k=p.grid.size,
+                                mode="ua_restricted")]
+        return [select(p, cfg) for cfg in cfgs]
+
+    def test_every_kernel_joins_its_worker(self, rng):
+        p = random_prob_field(rng, self.GRID)
+        before = threading.enumerate()
+        with mock.patch.object(selection, "_SLAB_CELLS", 80), \
+                mock.patch("uacal.selection._beside", wraps=calibration._beside) as beside:
+            for res in self.every_mode(p):
+                assert threading.enumerate() == before
+            flat = ProbField(ActionGrid((40, 30)), np.full(1200, 1 / 1200))
+            gaussian_select(flat, SelectionConfig(sigma=2.0, mode="gaussian"))
+            assert threading.enumerate() == before
+        assert beside.call_count == 5
+
+    def test_two_lanes_give_one_lanes_bits(self, rng):
+        p = random_prob_field(rng, self.GRID)
+        one = self.every_mode(p)
+        with mock.patch.object(selection, "_SLAB_CELLS", 80):
+            assert self.every_mode(p) == one
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_lane_error_reaches_the_caller(self, rng, where):
+        p = random_prob_field(rng, self.GRID)
+        caller, enter = threading.current_thread(), both_lanes_enter()
+        shift_add = selection._shift_add
+
+        def failing(*args):
+            enter()
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise RuntimeError(f"failed on the {where}")
+            return shift_add(*args)
+
+        before = threading.enumerate()
+        with mock.patch.object(selection, "_SLAB_CELLS", 80), \
+                mock.patch.object(selection, "_shift_add", failing), \
+                pytest.raises(RuntimeError, match=f"failed on the {where}"):
+            ua_select(p, SelectionConfig(metric=CHEB, tau=1.5))
+        assert threading.enumerate() == before
+
+    def test_one_slab_field_starts_no_thread(self, rng):
+        # a 64x64 field is one slab: every mode runs on the caller alone
+        p = random_prob_field(rng, ActionGrid((64, 64)))
+        with mock.patch("uacal.selection._beside", wraps=calibration._beside) as beside:
+            for cfg in (SelectionConfig(metric=EUCL, tau=2.5),
+                        SelectionConfig(metric=CHEB, tau=4.5, mode="ua_fast"),
+                        SelectionConfig(sigma=1.0, mode="gaussian"),
+                        SelectionConfig(metric=EUCL, tau=2.5, alpha=0.0, k=p.grid.size,
+                                        mode="ua_restricted")):
+                select(p, cfg)
+        assert beside.call_count == 0
+
+
+class TestGaussianTaps:
+    @given(st.floats(0.1, 300.0) | st.sampled_from([64.0, 1e3, 1e5]), st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_taps_are_the_kernels_taps_that_land(self, sigma, reach):
+        r = math.ceil(3.0 * sigma)
+        kept = min(r, reach)
+        want = gaussian_kernel(sigma)[r - kept:r + kept + 1]
+        got = selection._gaussian_taps(sigma, reach)
+        if r <= reach or sigma < selection._SUMMED_SIGMA:
+            assert got.tobytes() == want.tobytes()
+        else:  # the closed-form normaliser may move the last bits
+            assert np.abs(got / want - 1.0).max() <= 4 * np.finfo(float).eps
+
+    def test_cold_cost_does_not_grow_with_sigma(self):
+        # a cold call at sigma = 1e5 against one at sigma = dims: time (best of
+        # 3) and tracemalloc peak within 2x
+        grid = ActionGrid((64, 64))
+        v = np.random.default_rng(5).random(grid.size)
+
+        def cold(sigma):
+            best = math.inf
+            for _ in range(3):
+                selection._gaussian_layouts.cache_clear()
+                t0 = time.perf_counter()
+                gaussian_blur(grid, v, sigma)
+                best = min(best, time.perf_counter() - t0)
+            selection._gaussian_layouts.cache_clear()
+            return best, TestKernelMemory.peak_bytes(lambda: gaussian_blur(grid, v, sigma))
+
+        (t_dims, peak_dims), (t_big, peak_big) = cold(64.0), cold(1e5)
+        assert t_big <= 2 * t_dims
+        assert peak_big <= 2 * peak_dims
