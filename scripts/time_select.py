@@ -101,8 +101,8 @@ def main():
         p = ProbField(grid, v / v.sum())
         for name, cfg in configs(grid).items():
             med, q1, q3 = timed(lambda cfg=cfg: selection.select(p, cfg), calls)
-            print(f"{'x'.join(map(str, dims))} {name}: median {med:.2f} ms "
-                  f"(quartiles {q1:.2f}-{q3:.2f}, {calls} calls)")
+            print(f"{'x'.join(map(str, dims))} {name}: median {med:.3f} ms "
+                  f"(quartiles {q1:.3f}-{q3:.3f}, {calls} calls)")
     ratios = []
     for _ in range(C7_PROCESSES):
         exact, fast = c7_ratio()

@@ -127,27 +127,21 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, first: int, shifts, weights,
                tmp: np.ndarray) -> None:
     """dst[i] = sum of weights[k] * src[first + i + shifts[k]] over k, in k order.
 
-    A term whose read falls outside ``src`` is skipped: it stands for a zero
-    of the padded field, and adding +0.0 is exact. Even chunks of at least
-    _CHUNK cells (or all of ``dst``), each term one contiguous slice;
-    unit-weight multiplies, the only ones ``tmp`` is not needed for, are
-    skipped too. ``dst`` must not overlap ``src``.
+    Every read must lie in ``src``, which ``dst`` must not overlap. Even
+    chunks of at least _CHUNK cells (or all of ``dst``), each term one
+    contiguous slice; unit-weight multiplies, the only ones ``tmp`` is
+    needed for, are skipped, exactly.
     """
-    n, m = len(dst), len(src)
+    n = len(dst)
     size = -(-n // max(1, n // _CHUNK))
     for a in range(0, n, size):
-        width = min(size, n - a)
-        acc, t = dst[a:a + width], tmp[:width]
+        acc = dst[a:a + size]
+        t = tmp[:len(acc)]
         acc.fill(0.0)  # so a lone -0.0 term sums to +0.0, as in a zeroed loop
         for s, w in zip(shifts, weights):
-            i = first + s + a
-            if 0 <= i <= m - width:
-                term = src[i:i + width]
-                acc += term if w == 1.0 else np.multiply(term, w, out=t)
-            elif -width < i < m:  # clip the read to src, and the sums with it
-                k, l = max(-i, 0), min(width, m - i)
-                term, part = src[i + k:i + l], acc[k:l]
-                part += term if w == 1.0 else np.multiply(term, w, out=t[k:l])
+            i = first + a + s
+            term = src[i:i + len(acc)]
+            acc += term if w == 1.0 else np.multiply(term, w, out=t)
 
 
 class _Layout(NamedTuple):
@@ -212,38 +206,31 @@ def _slab_sums(field: np.ndarray, out: np.ndarray, a: int, b: int, layouts,
                scratch: np.ndarray, acc_at: int, tmp_at: int) -> None:
     """Rows [a, b) of ``_aggregate``'s result, into the same rows of ``out``.
 
-    Every layout runs in turn on these rows, each pass reading the previous
-    one's from ``out``; a pass that reaches along axis 0 also reads that
-    many rows (the halo) either side, which only the first may do unless
-    [a, b) is every row. A first pass whose layout pads no axis but axis 0
-    reads the field where it is and sums into ``out``, its reads beyond the
-    field skipped. Any other pass lays its rows out in ``scratch`` as they lie
-    in the padded field, with row a at the layout's lead, the halo below it in
-    the lead zeros' place and zeros around, and sums into ``scratch[acc_at:]``
-    before cropping into ``out``. Either way each cell adds the terms it adds
-    in the whole padded field, in order. ``scratch[tmp_at:]`` takes weighted
-    terms.
+    Every layout runs in turn on these rows. A pass lays the rows it reads
+    out in ``scratch`` as they lie in the layout's padded field: row a at
+    the lead, the rows within the layout's axis-0 reach (the halo) either
+    side of [a, b), zeros around. It sums into ``scratch[acc_at:]``, from
+    which the next pass reads, and ``scratch[tmp_at:]`` takes weighted
+    terms. So each cell adds the terms it adds in the whole padded field,
+    in order. Only the first pass may have a halo, unless [a, b) is every
+    row, as a later one reads the previous pass's rows [a, b) alone.
     """
     dims = field.shape
     buf, acc, tmp = scratch[:acc_at], scratch[acc_at:tmp_at], scratch[tmp_at:]
     crop = (slice(None),) + tuple(map(slice, dims[1:]))
-    src = field
+    src, at = field, 0  # src holds rows [at, at + len(src)) of the previous pass
     for lay in layouts:
         r, row = lay.padded[0] - dims[0], math.prod(lay.padded[1:])
         lo, hi = max(0, a - r), min(dims[0], b + r)
-        if src is field and lay.padded[1:] == dims[1:]:
-            _shift_add(out[a:b].reshape(-1), field[lo:hi].reshape(-1), (a - lo) * row,
-                       lay.shifts.tolist(), lay.weights, tmp)
-        else:
-            padded = buf[:2 * lay.lead + (b - a) * row]
-            padded.fill(0.0)
-            base = lay.lead - (a - lo) * row
-            padded[base:base + (hi - lo) * row].reshape(
-                (hi - lo,) + lay.padded[1:])[crop] = src[lo:hi]
-            sums = acc[:(b - a) * row]
-            _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
-            out[a:b] = sums.reshape((b - a,) + lay.padded[1:])[crop]
-        src = out
+        padded = buf[:2 * lay.lead + (b - a) * row]
+        padded.fill(0.0)
+        base = lay.lead - (a - lo) * row
+        padded[base:base + (hi - lo) * row].reshape(
+            (hi - lo,) + lay.padded[1:])[crop] = src[lo - at:hi - at]
+        sums = acc[:(b - a) * row]
+        _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
+        src, at = sums.reshape((b - a,) + lay.padded[1:])[crop], a
+    out[a:b] = src
 
 
 def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
@@ -266,24 +253,22 @@ def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
     dims = grid.dims
     field = np.asarray(values, dtype=np.float64).reshape(dims)
     out = np.empty(dims)
-    rows = -(-_SLAB_CELLS // math.prod(dims[1:]))
+    slab = min(-(-_SLAB_CELLS // math.prod(dims[1:])), dims[0])
     lead = row = 0
     weighted = False
     for i, lay in enumerate(layouts):
         if i and lay.padded[0] > dims[0]:
-            rows = dims[0]
-        if i or lay.padded[1:] != dims[1:]:  # a pass through scratch
-            lead, row = max(lead, lay.lead), max(row, math.prod(lay.padded[1:]))
+            slab = dims[0]  # this pass reads every row of the one before
+        lead, row = max(lead, lay.lead), max(row, math.prod(lay.padded[1:]))
         weighted = weighted or lay.weights.count(1.0) < len(lay.weights)
-    slab = min(rows, dims[0])
     acc_at = 2 * lead + slab * row
     tmp_at = acc_at + slab * row
-    tmp_len = min(slab * max(row, math.prod(dims[1:])), 2 * _CHUNK) if weighted else 0
+    tmp_len = min(slab * row, 2 * _CHUNK) if weighted else 0
     if slab == dims[0]:
         _slab_sums(field, out, 0, slab, layouts, np.empty(tmp_at + tmp_len), acc_at, tmp_at)
         return out.reshape(-1)
     scratch = np.empty((2, tmp_at + tmp_len))
-    starts, lock = iter(range(0, dims[0], rows)), threading.Lock()
+    starts, lock = iter(range(0, dims[0], slab)), threading.Lock()
 
     def lane(scratch):
         while True:
@@ -291,7 +276,7 @@ def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
                 a = next(starts, None)
             if a is None:
                 return
-            _slab_sums(field, out, a, min(a + rows, dims[0]), layouts, scratch, acc_at, tmp_at)
+            _slab_sums(field, out, a, min(a + slab, dims[0]), layouts, scratch, acc_at, tmp_at)
 
     with _beside(lane, scratch[1]) as other:
         lane(scratch[0])
@@ -403,15 +388,10 @@ def ua_select_restricted(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Sampled Gaussian truncated at radius ceil(3*sigma), normalized to sum 1."""
-    if not 0 < sigma < math.inf:
-        raise ParameterError(f"sigma must be finite and positive, got {sigma}")
-    r = math.ceil(3.0 * sigma)
-    x = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+    return _gaussian_taps(sigma, math.inf)
 
 
-def _gaussian_taps(sigma: float, reach: int) -> np.ndarray:
+def _gaussian_taps(sigma: float, reach: float) -> np.ndarray:
     """``gaussian_kernel(sigma)``'s taps within ``reach`` of its centre.
 
     While every tap is within reach or sigma < _SUMMED_SIGMA, this is a slice
@@ -422,9 +402,14 @@ def _gaussian_taps(sigma: float, reach: int) -> np.ndarray:
     formula to its third derivative. It matched a correctly rounded sum to
     2 ulp for sigma from 64 to 3e5, and its cost does not grow with sigma.
     """
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and positive, got {sigma}")
     r = math.ceil(3.0 * sigma)
     if r <= reach or sigma < _SUMMED_SIGMA:
-        return gaussian_kernel(sigma)[r - min(r, reach):r + min(r, reach) + 1]
+        x = np.arange(-r, r + 1, dtype=np.float64)
+        k = np.exp(-0.5 * (x / sigma) ** 2)
+        kept = min(r, reach)
+        return (k / k.sum())[r - kept:r + kept + 1]
     x = np.arange(-reach, reach + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     a, v = r + 1.0, sigma * sigma

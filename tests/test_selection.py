@@ -906,15 +906,21 @@ class TestGaussianTaps:
         else:  # the closed-form normaliser may move the last bits
             assert np.abs(got / want - 1.0).max() <= 4 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_blur_refuses_a_bad_sigma(self, sigma):
+        grid = ActionGrid((8, 8))
+        with pytest.raises(ParameterError, match="sigma must be finite and positive"):
+            gaussian_blur(grid, np.ones(grid.size), sigma)
+
     def test_cold_cost_does_not_grow_with_sigma(self):
         # a cold call at sigma = 1e5 against one at sigma = dims: time (best of
-        # 3) and tracemalloc peak within 2x
+        # 5, as one call takes about a millisecond) and tracemalloc peak within 2x
         grid = ActionGrid((64, 64))
         v = np.random.default_rng(5).random(grid.size)
 
         def cold(sigma):
             best = math.inf
-            for _ in range(3):
+            for _ in range(5):
                 selection._gaussian_layouts.cache_clear()
                 t0 = time.perf_counter()
                 gaussian_blur(grid, v, sigma)
