@@ -11,12 +11,11 @@ checkouts:
     PYTHONPATH=<checkout>/src python3 scripts/time_episode.py
 """
 
-import statistics
-import time
-
 from uacal import calibration, selection, simbench
 from uacal.action_space import Metric
 from uacal.selection import SelectionConfig
+
+from timing import timed
 
 PRESET = "distractor-hard"
 MODES = ("greedy", "ua_exact", "gaussian")
@@ -24,17 +23,6 @@ TAU = 2.5
 SIGMA = 1.0
 SEED = 1
 REPEATS = 301
-
-
-def timed(fn):
-    fn()  # warm-up
-    ms = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        ms.append((time.perf_counter() - t0) * 1e3)
-    q1, med, q3 = statistics.quantiles(ms, n=4)
-    return med, q1, q3
 
 
 def main():
@@ -55,7 +43,7 @@ def main():
         cases[f"select {cfg.mode}"] = lambda cfg=cfg: selection.select(p, cfg)
     cases["episode"] = lambda: simbench.evaluate(1, SEED, task, model, cfgs)
     for name, fn in cases.items():
-        med, q1, q3 = timed(fn)
+        med, q1, q3 = timed(fn, REPEATS)
         print(f"{name}: median {med:.3f} ms (quartiles {q1:.3f}-{q3:.3f})")
 
 

@@ -13,9 +13,7 @@ The same script compares two checkouts:
 
 import contextlib
 import io
-import statistics
 import tempfile
-import time
 from pathlib import Path
 
 from uacal import calibration, cli
@@ -23,22 +21,13 @@ from uacal.action_space import ActionGrid
 from uacal.dataset_io import read_dataset, write_dataset
 from uacal.simbench import make_calibration_set
 
+from timing import timed
+
 RECORDS_PER_TASK = 1000
 SIDE = 32
 GAIN = 4.0
 SEED = 1
 REPEATS = 31
-
-
-def timed(fn):
-    fn()  # warm-up
-    ms = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        ms.append((time.perf_counter() - t0) * 1e3)
-    q1, med, q3 = statistics.quantiles(ms, n=4)
-    return med, q1, q3
 
 
 def main():
@@ -72,7 +61,7 @@ def main():
             "report statistics": lambda: calibration.calibration_report(batch, T),
         }
         for name, fn in cases.items():
-            med, q1, q3 = timed(fn)
+            med, q1, q3 = timed(fn, REPEATS)
             print(f"{name}: median {med:.1f} ms (quartiles {q1:.1f}-{q3:.1f})")
 
 

@@ -10,7 +10,10 @@ dense branch, euclidean tau 2.5) and, on 64x64, ``gaussian`` (sigma 1).
 Then it prints the acceptance test C7's exact/fast ratio, computed as
 ``test_c7_fast_path_performance`` computes it: one cold ``ua_select`` call
 against the best of 3 ``ua_select_fast`` calls, on the same 100^3 field at
-chebyshev tau 4.5, each in a fresh Python process.
+chebyshev tau 4.5, each in a fresh Python process. Each process then times
+one more, warm ``ua_select`` call, and prints the minor page faults
+(``ru_minflt``) that the cold and the warm call each took, so a cold premium
+from first-touch faults would show.
 
 The script uses only public names, so the same script compares two
 checkouts:
@@ -21,7 +24,6 @@ checkouts:
 import statistics
 import subprocess
 import sys
-import time
 
 import numpy as np
 
@@ -30,14 +32,18 @@ from uacal.action_space import ActionGrid, Metric
 from uacal.calibration import ProbField
 from uacal.selection import SelectionConfig
 
+from timing import timed
+
 SEED = 1
 CALLS = {(64, 64): 101, (64, 64, 64): 11, (100, 100, 100): 5}  # timed calls per case
 C7_PROCESSES = 5
 
 EUCL, CHEB = Metric("euclidean"), Metric("chebyshev")
 
-# As test_c7_fast_path_performance, with its seed, field and timing.
+# As test_c7_fast_path_performance, with its seed, field and timing, then one
+# more call that C7 does not make.
 C7_CODE = """
+import resource
 import time
 import numpy as np
 from uacal.action_space import ActionGrid, Metric
@@ -49,16 +55,24 @@ v = rng.random(grid.size)
 v /= v.sum()
 p = ProbField(grid, v)
 cfg = SelectionConfig(metric=Metric("chebyshev"), tau=4.5)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 t0 = time.perf_counter()
 exact = ua_select(p, cfg)
 t_exact = time.perf_counter() - t0
+cold_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 t_fast = float("inf")
 for _ in range(3):
     t0 = time.perf_counter()
     fast = ua_select_fast(p, cfg)
     t_fast = min(t_fast, time.perf_counter() - t0)
 assert fast.action == exact.action
-print(t_exact * 1e3, t_fast * 1e3)
+# one more, warm ua_select call, which C7 does not make, for its minor faults
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t0 = time.perf_counter()
+ua_select(p, cfg)
+t_warm = time.perf_counter() - t0
+warm_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(t_exact * 1e3, t_fast * 1e3, t_warm * 1e3, cold_faults, warm_faults)
 """
 
 
@@ -75,22 +89,13 @@ def configs(grid):
     return cases
 
 
-def timed(fn, calls):
-    fn()  # warm-up: builds the layout
-    ms = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        fn()
-        ms.append((time.perf_counter() - t0) * 1e3)
-    q1, med, q3 = statistics.quantiles(ms, n=4)
-    return med, q1, q3
-
-
-def c7_ratio():
-    exact, fast = map(float, subprocess.run(
+def c7_run():
+    """(cold exact ms, best fast ms, warm exact ms, cold minor faults, warm
+    minor faults) from one fresh process."""
+    exact, fast, warm, cold_faults, warm_faults = map(float, subprocess.run(
         [sys.executable, "-c", C7_CODE], check=True, capture_output=True,
         text=True).stdout.split())
-    return exact, fast
+    return exact, fast, warm, int(cold_faults), int(warm_faults)
 
 
 def main():
@@ -105,9 +110,10 @@ def main():
                   f"(quartiles {q1:.3f}-{q3:.3f}, {calls} calls)")
     ratios = []
     for _ in range(C7_PROCESSES):
-        exact, fast = c7_ratio()
+        exact, fast, warm, cold_faults, warm_faults = c7_run()
         ratios.append(exact / fast)
-        print(f"C7 run: exact {exact:.0f} ms, fast {fast:.1f} ms, ratio {exact / fast:.1f}")
+        print(f"C7 run: exact {exact:.0f} ms, fast {fast:.1f} ms, ratio {exact / fast:.1f}; "
+              f"minor faults: cold exact {cold_faults}, warm exact {warm_faults} ({warm:.0f} ms)")
     print(f"C7 exact/fast ratio: median {statistics.median(ratios):.1f} "
           f"over {C7_PROCESSES} processes (gate >= 10)")
 

@@ -12,14 +12,15 @@ the NLL is an exact log-softmax at every T. Diagnostics cover expected
 calibration error (ECE), reliability binning, and entropy. All arithmetic is
 float64 regardless of storage precision.
 
-A pass runs its row blocks on two lanes, the calling thread and one
-``_beside`` worker, each with its own 512 KiB z and e buffers; numpy releases
-the GIL inside its loops, so the lanes overlap. The per-block figures are
-joined in block order, and each row's figures come from that row alone, so a
-pass gives the same bits on two lanes as on one. They also do not depend on the
-block size for rows of up to 8192 cells; numpy's einsum sums a longer row
-that is alone in its block in 8192-cell chunks, which can move the last
-bits of its E_p[z].
+``_two_lanes`` is the one lane scheduler, here and in ``selection``: it
+runs n indexed steps on the calling thread and one ``_beside`` worker, each
+lane with its own buffer; numpy releases the GIL inside its loops, so the
+lanes overlap. A pass's steps are its row blocks, each lane's buffer holds
+512 KiB z and e arrays, and the per-block figures are joined in block order.
+Each row's figures come from that row alone, so a pass gives the same bits
+on two lanes as on one. They also do not depend on the block size for rows
+of up to 8192 cells; numpy's einsum sums a longer row that is alone in its
+block in 8192-cell chunks, which can move the last bits of its E_p[z].
 """
 
 from __future__ import annotations
@@ -275,49 +276,62 @@ def _beside(fn, *args):
         worker.join()
 
 
+def _two_lanes(step, n: int, shape: tuple) -> list:
+    """[step(k, buf) for k in range(n)], n >= 1, in k order, on two lanes:
+    the calling thread and one ``_beside`` worker.
+
+    Each lane takes the next k from one shared iterator as it comes free, and
+    passes every step its own buffer of ``shape``, one lane's part of a
+    lane-major np.empty((min(2, n), *shape)) made here on the calling thread.
+    So step's result for k must not depend on the lane or on what the buffer
+    held. n == 1 runs on the caller alone and starts no thread. A lane's
+    error is raised once the other lane has run the remaining steps.
+    """
+    bufs = np.empty((min(2, n), *shape))
+    if n == 1:
+        return [step(0, bufs[0])]
+    results, ks, lock = [None] * n, iter(range(n)), threading.Lock()
+
+    def lane(buf):
+        while True:
+            with lock:
+                k = next(ks, None)
+            if k is None:
+                return
+            results[k] = step(k, buf)
+
+    with _beside(lane, bufs[1]) as other:
+        lane(bufs[0])
+        other()
+    return results
+
+
 def _softmax_blocks(batch: LogitBatch, T: float, fn) -> list:
     """[fn(z, e, s, experts, task ids) for each row block of logits / T], in
-    block order, on two lanes: the calling thread and a ``_beside`` worker.
+    block order, run by ``_two_lanes``.
 
     z is logits / T less its row maximum (so each row's max is exactly 0),
     e = exp(z) and s is e's row sum: log-softmax is z - log(s), exact at any
     T, and the softmax is e / s. Blocks hold at most _BLOCK_BYTES of float64
-    (or one row, if a row is larger). Each lane takes the next block from one
-    shared iterator as it comes free and fills its own z and e buffers, made
-    here once per pass, so memory does not grow with n; fn may overwrite z
-    and e but must not return them. fn's figures for a block do not depend
-    on the lane that computed it. A lane error is raised once the other lane
-    has run the remaining blocks. A batch of one block starts no thread.
+    (or one row, if a row is larger). A lane's buffer holds its z and then
+    its e, so memory does not grow with n; fn may overwrite z and e but must
+    not return them.
     """
     if not len(batch):
         raise ParameterError("calibration requires a nonempty dataset")
     T = _checked_temperature(T)
     rows = max(1, _BLOCK_BYTES // (8 * batch.grid.size))
     starts = range(0, len(batch), rows)
-    shape = (min(2, len(starts)), min(rows, len(batch)), batch.grid.size)
-    zs, es = np.empty((2, *shape))
-    results, blocks, lock = [None] * len(starts), iter(enumerate(starts)), threading.Lock()
 
-    def lane(z_buf, e_buf):
-        while True:
-            with lock:
-                k, i = next(blocks, (None, None))
-            if k is None:
-                return
-            x = batch.logits[i:i + rows]
-            z = np.divide(x, T, dtype=np.float64, out=z_buf[:len(x)])
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z, out=e_buf[:len(x)])
-            results[k] = fn(z, e, e.sum(axis=1), batch.experts[i:i + rows],
-                            batch.task_ids[i:i + rows])
+    def block(k, buf):
+        i = starts[k]
+        x = batch.logits[i:i + rows]
+        z = np.divide(x, T, dtype=np.float64, out=buf[0, :len(x)])
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z, out=buf[1, :len(x)])
+        return fn(z, e, e.sum(axis=1), batch.experts[i:i + rows], batch.task_ids[i:i + rows])
 
-    if len(starts) == 1:
-        lane(zs[0], es[0])
-    else:
-        with _beside(lane, zs[1], es[1]) as other:
-            lane(zs[0], es[0])
-            other()
-    return results
+    return _two_lanes(block, len(starts), (2, min(rows, len(batch)), batch.grid.size))
 
 
 def _nll_rows(z, e, s, experts, _):

@@ -23,11 +23,11 @@ exact, so each cell gets the clipped sums' terms in their order. Every mode
 breaks ties by lowest flat index and is bit-deterministic.
 
 The full-field aggregate cuts the grid along axis 0 into slabs of at least
-_SLAB_CELLS cells, and runs them on two lanes, the calling thread and one
-``calibration._beside`` worker; a grid of one slab runs on the caller alone.
-Each slab's rows get the bits the whole grid gives them, so results do not
-depend on the cut or the lane. Each lane's scratch holds one slab and is
-made once per call.
+_SLAB_CELLS cells, and runs them through ``calibration._two_lanes``, the lane
+scheduler the calibration pass uses; a grid of one slab runs on the caller
+alone. Each slab's rows get the bits the whole grid gives them, so results
+do not depend on the cut or the lane. Each lane's buffer is its scratch for
+one slab, made once per call.
 
 Where a field goes in the padded buffer and which shifts are added (its
 ``_Layout``) depend on the configuration alone: (grid, metric, tau) for the
@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .action_space import ActionGrid, Metric, ball_offsets, ball_reach
-from .calibration import ProbField, _beside
+from .calibration import ProbField, _two_lanes
 from .errors import ParameterError, UnsupportedConfigError
 
 MODES = ("greedy", "ua_exact", "ua_fast", "ua_restricted", "gaussian")
@@ -145,7 +144,7 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, first: int, shifts, weights,
 
 
 class _Layout(NamedTuple):
-    """Where ``_fill`` and ``_slab_sums`` put a field, and the shifts read.
+    """Where ``_fill`` and ``_aggregate`` put a field, and the shifts read.
 
     Each axis is zero-padded on its high side only, by the kept offsets'
     reach: a low-side overrun wraps into the previous row's padding, or into
@@ -202,37 +201,6 @@ def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
     return _layout(grid.dims, ball_offsets(grid, metric, tau)) if lay is None else lay
 
 
-def _slab_sums(field: np.ndarray, out: np.ndarray, a: int, b: int, layouts,
-               scratch: np.ndarray, acc_at: int, tmp_at: int) -> None:
-    """Rows [a, b) of ``_aggregate``'s result, into the same rows of ``out``.
-
-    Every layout runs in turn on these rows. A pass lays the rows it reads
-    out in ``scratch`` as they lie in the layout's padded field: row a at
-    the lead, the rows within the layout's axis-0 reach (the halo) either
-    side of [a, b), zeros around. It sums into ``scratch[acc_at:]``, from
-    which the next pass reads, and ``scratch[tmp_at:]`` takes weighted
-    terms. So each cell adds the terms it adds in the whole padded field,
-    in order. Only the first pass may have a halo, unless [a, b) is every
-    row, as a later one reads the previous pass's rows [a, b) alone.
-    """
-    dims = field.shape
-    buf, acc, tmp = scratch[:acc_at], scratch[acc_at:tmp_at], scratch[tmp_at:]
-    crop = (slice(None),) + tuple(map(slice, dims[1:]))
-    src, at = field, 0  # src holds rows [at, at + len(src)) of the previous pass
-    for lay in layouts:
-        r, row = lay.padded[0] - dims[0], math.prod(lay.padded[1:])
-        lo, hi = max(0, a - r), min(dims[0], b + r)
-        padded = buf[:2 * lay.lead + (b - a) * row]
-        padded.fill(0.0)
-        base = lay.lead - (a - lo) * row
-        padded[base:base + (hi - lo) * row].reshape(
-            (hi - lo,) + lay.padded[1:])[crop] = src[lo - at:hi - at]
-        sums = acc[:(b - a) * row]
-        _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
-        src, at = sums.reshape((b - a,) + lay.padded[1:])[crop], a
-    out[a:b] = src
-
-
 def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
     """``values`` shift-added through each of ``layouts`` in turn, flat order.
 
@@ -240,47 +208,53 @@ def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
     x + offsets[k]. One stencil layout gives its neighborhood sums. One
     ``_axis_layouts`` layout per axis sums along each axis in turn, taps in
     ascending offset, so cells whose clipped windows hold equal values get
-    bit-identical sums.
+    bit-identical sums. Only the first layout may reach along axis 0, as a
+    later pass reads only its slab's rows of the pass before.
 
-    The grid is cut along axis 0 into slabs of at least _SLAB_CELLS cells (all
-    of it if a layout after the first reaches along axis 0), and
-    ``_slab_sums`` gives each slab's rows the bits the whole grid gives them.
-    Slabs go to two lanes, the calling thread and a ``_beside`` worker, as each
-    comes free; a grid of one slab runs on the caller alone. Each lane's
-    scratch holds one slab and is made here once per call, so memory stays
-    bounded by the grid. A lane error is raised once the other lane is done.
+    The grid is cut along axis 0 into slabs of at least _SLAB_CELLS cells,
+    which ``calibration._two_lanes`` hands to its lanes; a lane's buffer is
+    its scratch for one slab, so memory stays bounded by the grid. A slab
+    runs every layout in turn on its rows [a, b). A pass lays the rows it
+    reads out in the scratch as they lie in the layout's padded field: row a
+    at the lead, the rows within the layout's axis-0 reach (the halo) either
+    side of [a, b), zeros around. It sums into the scratch's accumulator,
+    from which the next pass reads; the scratch's tail takes weighted terms. So
+    each cell adds the terms it adds in the whole padded field, in order,
+    and gets the bits the whole grid gives it.
     """
     dims = grid.dims
     field = np.asarray(values, dtype=np.float64).reshape(dims)
     out = np.empty(dims)
     slab = min(-(-_SLAB_CELLS // math.prod(dims[1:])), dims[0])
-    lead = row = 0
+    lead = width = 0  # the largest lead and padded row over the layouts
     weighted = False
-    for i, lay in enumerate(layouts):
-        if i and lay.padded[0] > dims[0]:
-            slab = dims[0]  # this pass reads every row of the one before
-        lead, row = max(lead, lay.lead), max(row, math.prod(lay.padded[1:]))
+    for lay in layouts:
+        lead, width = max(lead, lay.lead), max(width, math.prod(lay.padded[1:]))
         weighted = weighted or lay.weights.count(1.0) < len(lay.weights)
-    acc_at = 2 * lead + slab * row
-    tmp_at = acc_at + slab * row
-    tmp_len = min(slab * row, 2 * _CHUNK) if weighted else 0
-    if slab == dims[0]:
-        _slab_sums(field, out, 0, slab, layouts, np.empty(tmp_at + tmp_len), acc_at, tmp_at)
-        return out.reshape(-1)
-    scratch = np.empty((2, tmp_at + tmp_len))
-    starts, lock = iter(range(0, dims[0], slab)), threading.Lock()
+    acc_at = 2 * lead + slab * width
+    tmp_at = acc_at + slab * width
+    tmp_len = min(slab * width, 2 * _CHUNK) if weighted else 0
+    crop = (slice(None),) + tuple(map(slice, dims[1:]))
 
-    def lane(scratch):
-        while True:
-            with lock:
-                a = next(starts, None)
-            if a is None:
-                return
-            _slab_sums(field, out, a, min(a + slab, dims[0]), layouts, scratch, acc_at, tmp_at)
+    def slab_sums(k, scratch):
+        a = k * slab
+        b = min(a + slab, dims[0])
+        buf, acc, tmp = scratch[:acc_at], scratch[acc_at:tmp_at], scratch[tmp_at:]
+        src, at = field, 0  # src holds rows [at, at + len(src)) of the previous pass
+        for lay in layouts:
+            r, row = lay.padded[0] - dims[0], math.prod(lay.padded[1:])
+            lo, hi = max(0, a - r), min(dims[0], b + r)
+            padded = buf[:2 * lay.lead + (b - a) * row]
+            padded.fill(0.0)
+            base = lay.lead - (a - lo) * row
+            padded[base:base + (hi - lo) * row].reshape(
+                (hi - lo,) + lay.padded[1:])[crop] = src[lo - at:hi - at]
+            sums = acc[:(b - a) * row]
+            _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
+            src, at = sums.reshape((b - a,) + lay.padded[1:])[crop], a
+        out[a:b] = src
 
-    with _beside(lane, scratch[1]) as other:
-        lane(scratch[0])
-        other()
+    _two_lanes(slab_sums, -(-dims[0] // slab), (tmp_at + tmp_len,))
     return out.reshape(-1)
 
 

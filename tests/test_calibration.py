@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uacal import calibration
 from uacal.action_space import ActionGrid
@@ -746,6 +748,64 @@ class TestBeside:
         with np.errstate(over="raise", divide="ignore", under="warn"):
             with calibration._beside(np.geterr) as seen:
                 assert seen() == np.geterr()
+
+
+def buffer_at(buf):
+    """Where an array's memory starts, its shape and its strides."""
+    return buf.ctypes.data, buf.shape, buf.strides
+
+
+step_sleeps = st.lists(st.integers(0, 200), min_size=64, max_size=64)  # microseconds per k
+
+
+class TestLaneScheduler:
+    """calibration._two_lanes on its own, for 1-64 steps that sleep 0-200 us."""
+
+    @given(st.integers(1, 64), st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+           step_sleeps)
+    @settings(max_examples=100, deadline=None)
+    def test_every_step_runs_once_each_lane_on_its_own_buffer(self, n, shape, sleeps):
+        caller, ran, bufs = threading.current_thread(), [], {}
+
+        def step(k, buf):
+            time.sleep(sleeps[k] * 1e-6)
+            ran.append(k)
+            bufs.setdefault(threading.current_thread(), []).append(buf)
+            return -k
+
+        with mock.patch.object(calibration, "_beside", wraps=calibration._beside) as beside:
+            got = calibration._two_lanes(step, n, shape)
+        assert got == [-k for k in range(n)]
+        assert sorted(ran) == list(range(n))
+        assert beside.call_count == (n > 1)
+        if n == 1:
+            assert list(bufs) == [caller]
+        assert len(bufs) <= 2
+        for seen in bufs.values():
+            assert {buffer_at(b) for b in seen} == {buffer_at(seen[0])}  # one per lane
+            assert seen[0].shape == shape and seen[0].flags.c_contiguous
+        if len(bufs) == 2:
+            assert not np.shares_memory(*(seen[0] for seen in bufs.values()))
+
+    @given(st.integers(1, 64), st.sampled_from(["caller", "worker"]), step_sleeps)
+    @settings(max_examples=50, deadline=None)
+    def test_a_lane_error_reaches_the_caller(self, n, where, sleeps):
+        assume(n > 1 or where == "caller")
+        caller, ran = threading.current_thread(), []
+        enter = both_lanes_enter() if n > 1 else (lambda: None)
+
+        def step(k, buf):
+            enter()
+            ran.append(k)
+            time.sleep(sleeps[k] * 1e-6)
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise RuntimeError(f"failed on the {where}")
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match=f"failed on the {where}"):
+            calibration._two_lanes(step, n, (3,))
+        assert threading.enumerate() == before
+        assert sorted(ran) == list(range(n))  # the other lane ran the remaining steps
 
 
 class TestLaneStress:

@@ -847,7 +847,7 @@ class TestLanes:
         p = random_prob_field(rng, self.GRID)
         before = threading.enumerate()
         with mock.patch.object(selection, "_SLAB_CELLS", 80), \
-                mock.patch("uacal.selection._beside", wraps=calibration._beside) as beside:
+                mock.patch("uacal.calibration._beside", wraps=calibration._beside) as beside:
             for res in self.every_mode(p):
                 assert threading.enumerate() == before
             flat = ProbField(ActionGrid((40, 30)), np.full(1200, 1 / 1200))
@@ -883,7 +883,7 @@ class TestLanes:
     def test_one_slab_field_starts_no_thread(self, rng):
         # a 64x64 field is one slab: every mode runs on the caller alone
         p = random_prob_field(rng, ActionGrid((64, 64)))
-        with mock.patch("uacal.selection._beside", wraps=calibration._beside) as beside:
+        with mock.patch("uacal.calibration._beside", wraps=calibration._beside) as beside:
             for cfg in (SelectionConfig(metric=EUCL, tau=2.5),
                         SelectionConfig(metric=CHEB, tau=4.5, mode="ua_fast"),
                         SelectionConfig(sigma=1.0, mode="gaussian"),
