@@ -5,7 +5,7 @@ Each case scores one random probability field (seeded) with warm layout
 caches, and prints the median and quartiles of its calls in ms. The cases
 are ``ua_exact`` (euclidean tau 2.5, chebyshev tau 4.5), ``ua_fast``
 (chebyshev tau 4.5), ``ua_restricted`` with every cell a candidate (its
-dense branch, euclidean tau 2.5) and, on 64x64, ``gaussian`` (sigma 1).
+dense branch, euclidean tau 2.5) and ``gaussian`` (sigma 1).
 
 Then it prints the acceptance test C7's exact/fast ratio, computed as
 ``test_c7_fast_path_performance`` computes it: one cold ``ua_select`` call
@@ -19,6 +19,9 @@ The script uses only public names, so the same script compares two
 checkouts:
 
     PYTHONPATH=<checkout>/src python3 scripts/time_select.py
+
+A checkout whose ``gaussian`` refuses 3-axis grids prints that refusal in
+place of those two cases' times.
 """
 
 import statistics
@@ -30,6 +33,7 @@ import numpy as np
 from uacal import selection
 from uacal.action_space import ActionGrid, Metric
 from uacal.calibration import ProbField
+from uacal.errors import UnsupportedConfigError
 from uacal.selection import SelectionConfig
 
 from timing import timed
@@ -77,16 +81,14 @@ print(t_exact * 1e3, t_fast * 1e3, t_warm * 1e3, cold_faults, warm_faults)
 
 
 def configs(grid):
-    cases = {
+    return {
         "ua_exact euclidean tau=2.5": SelectionConfig(metric=EUCL, tau=2.5),
         "ua_exact chebyshev tau=4.5": SelectionConfig(metric=CHEB, tau=4.5),
         "ua_fast chebyshev tau=4.5": SelectionConfig(metric=CHEB, tau=4.5, mode="ua_fast"),
         "ua_restricted dense euclidean tau=2.5": SelectionConfig(
             metric=EUCL, tau=2.5, alpha=0.0, k=grid.size, mode="ua_restricted"),
+        "gaussian sigma=1": SelectionConfig(sigma=1.0, mode="gaussian"),
     }
-    if grid.ndim <= 2:
-        cases["gaussian sigma=1"] = SelectionConfig(sigma=1.0, mode="gaussian")
-    return cases
 
 
 def c7_run():
@@ -105,7 +107,11 @@ def main():
         v = rng.random(grid.size)
         p = ProbField(grid, v / v.sum())
         for name, cfg in configs(grid).items():
-            med, q1, q3 = timed(lambda cfg=cfg: selection.select(p, cfg), calls)
+            try:
+                med, q1, q3 = timed(lambda cfg=cfg: selection.select(p, cfg), calls)
+            except UnsupportedConfigError as e:
+                print(f"{'x'.join(map(str, dims))} {name}: refused ({e})")
+                continue
             print(f"{'x'.join(map(str, dims))} {name}: median {med:.3f} ms "
                   f"(quartiles {q1:.3f}-{q3:.3f}, {calls} calls)")
     ratios = []

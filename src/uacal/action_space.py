@@ -31,6 +31,8 @@ class ActionGrid:
     cell_size: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not all(float(d).is_integer() for d in self.dims):
+            raise ParameterError(f"every dim must be an integer, got {tuple(self.dims)}")
         dims = tuple(int(d) for d in self.dims)
         if not 1 <= len(dims) <= MAX_AXES:
             raise ParameterError(f"grid must have 1-{MAX_AXES} axes, got {len(dims)}")
@@ -40,8 +42,8 @@ class ActionGrid:
         cell = tuple(float(c) for c in cell)
         if len(cell) != len(dims):
             raise ParameterError("cell_size length must match number of axes")
-        if any(not (c > 0.0) for c in cell):
-            raise ParameterError("cell_size entries must be positive")
+        if any(not 0.0 < c < math.inf for c in cell):
+            raise ParameterError("cell_size entries must be finite and positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "cell_size", cell)
 
@@ -70,8 +72,8 @@ class Metric:
             raise ParameterError(f"unknown metric kind {self.kind!r}")
         if self.scale:
             scale = tuple(float(s) for s in self.scale)
-            if any(not (s > 0.0) for s in scale):
-                raise ParameterError("metric scale factors must be strictly positive")
+            if any(not 0.0 < s < math.inf for s in scale):
+                raise ParameterError("metric scale factors must be finite and strictly positive")
             object.__setattr__(self, "scale", scale)
 
     def axis_units(self, grid: ActionGrid) -> np.ndarray:

@@ -12,8 +12,7 @@ Five modes:
 * ``ua_restricted``- thresholded variant: keep the top-k actions above a
                      probability floor and score only those, each by its
                      ``ua_exact`` sum over the whole field.
-* ``gaussian``     - separable truncated-Gaussian blur of the field
-                     (1-2 axes), then argmax.
+* ``gaussian``     - argmax of the field's separable truncated-Gaussian blur.
 
 One function computes every full-field aggregate: it adds shifted reads of a
 zero-padded, flattened field through the stencil's layout (``ua_exact``,
@@ -57,7 +56,6 @@ DEFAULT_K = 4000          # top-k cap on retained actions in restricted search
 # slower than one, through GIL hand-offs, and 48K-64K-cell ones 1.6x faster
 # (2 vCPUs); yet a slab and its sums should stay in a core's 2 MiB L2.
 _SLAB_CELLS = 1 << 16     # output cells per slab of rows, at least: a lane's unit of work
-_CHUNK = 1 << 16          # output cells per shift-add step, at least (below 2x; 512 KiB of float64)
 _LAYOUTS_KEPT = 16        # layouts each kernel's cache keeps, least recently used first out
 _DENSE_SHARE = 0.08       # candidates/|A| from which ua_restricted scores every cell
 _SUMMED_SIGMA = 64.0      # Gaussian sigma from which a far tail is summed in closed form
@@ -126,21 +124,17 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, first: int, shifts, weights,
                tmp: np.ndarray) -> None:
     """dst[i] = sum of weights[k] * src[first + i + shifts[k]] over k, in k order.
 
-    Every read must lie in ``src``, which ``dst`` must not overlap. Even
-    chunks of at least _CHUNK cells (or all of ``dst``), each term one
-    contiguous slice; unit-weight multiplies, the only ones ``tmp`` is
+    Every read must lie in ``src``, which ``dst`` must not overlap. Each term
+    is one contiguous slice; unit-weight multiplies, the only ones ``tmp`` is
     needed for, are skipped, exactly.
     """
     n = len(dst)
-    size = -(-n // max(1, n // _CHUNK))
-    for a in range(0, n, size):
-        acc = dst[a:a + size]
-        t = tmp[:len(acc)]
-        acc.fill(0.0)  # so a lone -0.0 term sums to +0.0, as in a zeroed loop
-        for s, w in zip(shifts, weights):
-            i = first + a + s
-            term = src[i:i + len(acc)]
-            acc += term if w == 1.0 else np.multiply(term, w, out=t)
+    t = tmp[:n]
+    dst.fill(0.0)  # so a lone -0.0 term sums to +0.0, as in a zeroed loop
+    for s, w in zip(shifts, weights):
+        i = first + s
+        term = src[i:i + n]
+        dst += term if w == 1.0 else np.multiply(term, w, out=t)
 
 
 class _Layout(NamedTuple):
@@ -233,7 +227,7 @@ def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
         weighted = weighted or lay.weights.count(1.0) < len(lay.weights)
     acc_at = 2 * lead + slab * width
     tmp_at = acc_at + slab * width
-    tmp_len = min(slab * width, 2 * _CHUNK) if weighted else 0
+    tmp_len = slab * width if weighted else 0
     crop = (slice(None),) + tuple(map(slice, dims[1:]))
 
     def slab_sums(k, scratch):
@@ -299,7 +293,7 @@ def _gaussian_layouts(dims: tuple[int, ...], sigma: float) -> tuple[_Layout, ...
 
 
 def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
-    """Chebyshev neighborhoods on 1-3 axis grids as separable box sums.
+    """Chebyshev neighborhoods as separable box sums.
 
     The chebyshev tau-ball is a box, so unit taps spanning the stencil's
     per-axis reach give the same neighborhood as ``ua_select``.
@@ -307,8 +301,6 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if cfg.metric.kind != "chebyshev":
         raise UnsupportedConfigError(
             f"ua_select_fast requires the chebyshev metric, got {cfg.metric.kind!r}")
-    if p.grid.ndim > 3:
-        raise UnsupportedConfigError("ua_select_fast supports 1-3 axis grids")
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
     reach = tuple(ball_reach(p.grid, cfg.metric, cfg.tau))
@@ -401,9 +393,7 @@ def gaussian_blur(grid: ActionGrid, values: np.ndarray, sigma: float) -> np.ndar
 
 
 def gaussian_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
-    """Argmax of the Gaussian-blurred field (1-2 axis grids)."""
-    if p.grid.ndim > 2:
-        raise UnsupportedConfigError("gaussian_select supports 1-2 axis grids")
+    """Argmax of the Gaussian-blurred field."""
     blurred = gaussian_blur(p.grid, p.values, cfg.sigma)
     return _result_from_scores(blurred)
 

@@ -73,6 +73,9 @@ class TestGridValidation:
     def test_zero_dim_rejected(self):
         with pytest.raises(ParameterError):
             ActionGrid((0, 3))
+        for dims in [(2.7, 3), (float("inf"),), (float("nan"), 2)]:
+            with pytest.raises(ParameterError):
+                ActionGrid(dims)
 
     def test_too_many_axes(self):
         with pytest.raises(ParameterError):
@@ -83,6 +86,9 @@ class TestGridValidation:
             ActionGrid((2, 2), cell_size=(1.0,))
         with pytest.raises(ParameterError):
             ActionGrid((2,), cell_size=(0.0,))
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                ActionGrid((4,), cell_size=(bad,))
 
 
 class TestDistance:
@@ -131,6 +137,9 @@ class TestDistance:
     def test_bad_scale(self):
         with pytest.raises(ParameterError):
             Metric("euclidean", scale=(0.0,))
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                Metric("euclidean", scale=(1.0, bad))
         with pytest.raises(ParameterError):
             Metric("mahalanobis")
 

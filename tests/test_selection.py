@@ -213,12 +213,6 @@ class TestUaFast:
         with pytest.raises(UnsupportedConfigError):
             ua_select_fast(p, SelectionConfig(metric=EUCL, tau=1.5, mode="ua_fast"))
 
-    def test_rejects_4_axes(self, rng):
-        grid = ActionGrid((2, 2, 2, 2))
-        p = random_prob_field(rng, grid)
-        with pytest.raises(UnsupportedConfigError):
-            ua_select_fast(p, SelectionConfig(metric=CHEB, tau=1.5, mode="ua_fast"))
-
     def test_uniform_interior_wins(self):
         # tau = 3 * 0.1 equals the offset-3 distance exactly, so the strict
         # ball on the 0.1 grid reaches only 2 cells
@@ -367,11 +361,6 @@ class TestGaussian:
         res = gaussian_select(ProbField(grid, v),
                               SelectionConfig(mode="gaussian", sigma=1.0))
         assert coords_of(grid, res.action) in [(2, 2), (2, 3), (3, 2), (3, 3)]
-
-    def test_rejects_3_axes(self, rng):
-        p = random_prob_field(rng, ActionGrid((3, 3, 3)))
-        with pytest.raises(UnsupportedConfigError):
-            gaussian_select(p, SelectionConfig(mode="gaussian", sigma=1.0))
 
 
 class TestDispatch:
@@ -657,10 +646,9 @@ def every_mode(p, metric, tau, sigma):
                metric=metric, tau=tau, mode="ua_restricted")),
            "ua_restricted_all": ua_select_restricted(p, SelectionConfig(
                metric=metric, tau=tau, alpha=0.0, k=p.grid.size, mode="ua_restricted"))}
-    if metric.kind == "chebyshev" and p.grid.ndim <= 3:
+    if metric.kind == "chebyshev":
         out["ua_fast"] = ua_select_fast(p, SelectionConfig(metric=metric, tau=tau))
-    if p.grid.ndim <= 2:
-        out["gaussian"] = gaussian_select(p, SelectionConfig(sigma=sigma, mode="gaussian"))
+    out["gaussian"] = gaussian_select(p, SelectionConfig(sigma=sigma, mode="gaussian"))
     return out
 
 
@@ -743,12 +731,10 @@ class TestLayoutCache:
             assert peaks[0] <= 1.1 * peaks[1]
 
 
-@st.composite
-def slab_cuts(draw):
-    """(_SLAB_CELLS, _CHUNK) small enough to cut a test field into many slabs
-    of a row or more, and each slab into several chunks (of 8 cells or more,
-    so a call makes at most ~|A|/8 chunks)."""
-    return draw(st.integers(1, 200)), draw(st.integers(8, 64))
+def slab_cuts():
+    """_SLAB_CELLS small enough to cut a test field into many slabs of a row
+    or more."""
+    return st.integers(1, 200)
 
 
 @st.composite
@@ -768,14 +754,13 @@ def modes_by_reference(field, kind, tau, sigma):
     out = {"ua_exact": (SelectionConfig(metric=metric, tau=tau), stencil),
            "ua_restricted": (SelectionConfig(metric=metric, tau=tau, alpha=0.0, k=grid.size,
                                              mode="ua_restricted"), stencil)}
-    if kind == "chebyshev" and field.ndim <= 3:
+    if kind == "chebyshev":
         taps = [np.ones(2 * h + 1) for h in ball_reach(grid, metric, tau)]
         out["ua_fast"] = (SelectionConfig(metric=metric, tau=tau, mode="ua_fast"),
                           reference_separable_sums(field, taps).ravel())
-    if field.ndim <= 2:
-        out["gaussian"] = (SelectionConfig(sigma=sigma, mode="gaussian"),
-                           reference_separable_sums(field, [gaussian_kernel(sigma)] * field.ndim)
-                           .ravel())
+    out["gaussian"] = (SelectionConfig(sigma=sigma, mode="gaussian"),
+                       reference_separable_sums(field, [gaussian_kernel(sigma)] * field.ndim)
+                       .ravel())
     return out
 
 
@@ -788,8 +773,7 @@ class TestSlabs:
     def test_stencil_bit_identical_to_reference(self, field, kind, tau, cut):
         # tau up to 1000 gives halos of more rows than a one-row slab holds
         offs = ball_offsets(ActionGrid(field.shape), Metric(kind), tau)
-        with mock.patch.object(selection, "_SLAB_CELLS", cut[0]), \
-                mock.patch.object(selection, "_CHUNK", cut[1]):
+        with mock.patch.object(selection, "_SLAB_CELLS", cut):
             sums = _aggregate(ActionGrid(field.shape), field, (_layout(field.shape, offs),))
         assert sums.tobytes() == reference_shifted_sums(field, offs).ravel().tobytes()
 
@@ -797,8 +781,7 @@ class TestSlabs:
     @settings(max_examples=150, deadline=None)
     def test_separable_bit_identical_to_reference(self, field, half, sigma, unit, cut):
         taps = ([np.ones(2 * half + 1)] if unit else [gaussian_kernel(sigma)]) * field.ndim
-        with mock.patch.object(selection, "_SLAB_CELLS", cut[0]), \
-                mock.patch.object(selection, "_CHUNK", cut[1]):
+        with mock.patch.object(selection, "_SLAB_CELLS", cut):
             sums = _aggregate(ActionGrid(field.shape), field, _axis_layouts(field.shape, taps))
         assert sums.tobytes() == reference_separable_sums(field, taps).ravel().tobytes()
 
@@ -811,8 +794,7 @@ class TestSlabs:
         p = ProbField(ActionGrid(field.shape), (field + 1.0).ravel() / (field + 1.0).sum())
         values = p.values.reshape(field.shape)
         for mode, (cfg, want) in modes_by_reference(values, kind, tau, sigma).items():
-            with mock.patch.object(selection, "_SLAB_CELLS", cut[0]), \
-                    mock.patch.object(selection, "_CHUNK", cut[1]):
+            with mock.patch.object(selection, "_SLAB_CELLS", cut):
                 res = select(p, cfg)
             best = _result_from_scores(want)
             assert (res.action, res.aggregated_score) == (best.action, best.aggregated_score), mode
