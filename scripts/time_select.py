@@ -7,7 +7,14 @@ are ``ua_exact`` (euclidean tau 2.5, chebyshev tau 4.5), ``ua_fast``
 (chebyshev tau 4.5), ``ua_restricted`` with every cell a candidate (its
 dense branch, euclidean tau 2.5) and ``gaussian`` (sigma 1).
 
-Then it prints the acceptance test C7's exact/fast ratio, computed as
+Then it times ``calibration.apply_temperature`` (T = 4, as perfbench's
+volume-select op) on a seeded N(0, 4^2) logit field at 64x64 and 64x64x64.
+It prints the median and quartiles of its calls in ms, one call's traced
+peak (tracemalloc) in sizes of the field, and the minor page faults
+(``ru_minflt``) per call over a loop that keeps the last four results
+alive, as a volume-select op keeps its four decisions' fields.
+
+Last it prints the acceptance test C7's exact/fast ratio, computed as
 ``test_c7_fast_path_performance`` computes it: one cold ``ua_select`` call
 against the best of 3 ``ua_select_fast`` calls, on the same 100^3 field at
 chebyshev tau 4.5, each in a fresh Python process. Each process then times
@@ -24,15 +31,19 @@ A checkout whose ``gaussian`` refuses 3-axis grids prints that refusal in
 place of those two cases' times.
 """
 
+import collections
+import math
+import resource
 import statistics
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
 from uacal import selection
 from uacal.action_space import ActionGrid, Metric
-from uacal.calibration import ProbField
+from uacal.calibration import LogitField, ProbField, apply_temperature
 from uacal.errors import UnsupportedConfigError
 from uacal.selection import SelectionConfig
 
@@ -41,6 +52,8 @@ from timing import timed
 SEED = 1
 CALLS = {(64, 64): 101, (64, 64, 64): 11, (100, 100, 100): 5}  # timed calls per case
 C7_PROCESSES = 5
+TEMPERATURE_CALLS = {(64, 64): 101, (64, 64, 64): 41}  # timed calls, and calls counted for faults
+TEMPERATURE, KEPT = 4.0, 4
 
 EUCL, CHEB = Metric("euclidean"), Metric("chebyshev")
 
@@ -91,6 +104,27 @@ def configs(grid):
     }
 
 
+def temperature_case(f, calls):
+    """(median, q1, q3 ms, traced peak in field sizes, minor faults per call)
+    of apply_temperature(f, TEMPERATURE)."""
+    def call():
+        return apply_temperature(f, TEMPERATURE)
+
+    med, q1, q3 = timed(call, calls)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = collections.deque((call() for _ in range(KEPT)), maxlen=KEPT)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        kept.append(call())
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return med, q1, q3, peak / f.values.nbytes, faults / calls
+
+
 def c7_run():
     """(cold exact ms, best fast ms, warm exact ms, cold minor faults, warm
     minor faults) from one fresh process."""
@@ -114,6 +148,14 @@ def main():
                 continue
             print(f"{'x'.join(map(str, dims))} {name}: median {med:.3f} ms "
                   f"(quartiles {q1:.3f}-{q3:.3f}, {calls} calls)")
+    rng = np.random.default_rng(SEED)
+    for dims, calls in TEMPERATURE_CALLS.items():
+        f = LogitField(ActionGrid(dims), rng.normal(0.0, 4.0, math.prod(dims)))
+        med, q1, q3, peak, faults = temperature_case(f, calls)
+        print(f"{'x'.join(map(str, dims))} apply_temperature T={TEMPERATURE:g}: median "
+              f"{med:.3f} ms (quartiles {q1:.3f}-{q3:.3f}, {calls} calls), traced peak "
+              f"{peak:.2f} field sizes, {faults:.1f} minor faults per call with the last "
+              f"{KEPT} results alive")
     ratios = []
     for _ in range(C7_PROCESSES):
         exact, fast, warm, cold_faults, warm_faults = c7_run()

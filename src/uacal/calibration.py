@@ -12,6 +12,11 @@ the NLL is an exact log-softmax at every T. Diagnostics cover expected
 calibration error (ECE), reliability binning, and entropy. All arithmetic is
 float64 regardless of storage precision.
 
+``softmax`` and ``apply_temperature`` build each probability field in the
+one buffer they return: logits / T go into a fresh array, and the max
+shift, exp and normalisation run in place there, so a field costs one
+field's memory and the same bits as separate temporaries would give.
+
 ``_two_lanes`` is the one lane scheduler, here and in ``selection``: it
 runs n indexed steps on the calling thread and one ``_beside`` worker, each
 lane with its own buffer; numpy releases the GIL inside its loops, so the
@@ -74,7 +79,8 @@ class ProbField:
         if v.shape != (self.grid.size,):
             raise ValidationError(
                 f"probability vector length {v.shape} does not match |A|={self.grid.size}")
-        if np.any(v < 0) or np.any(v > 1):
+        # fmin/fmax ignore NaNs, which the sum check rejects, and make no mask
+        if np.fmin.reduce(v) < 0 or np.fmax.reduce(v) > 1:
             raise ValidationError("probabilities must lie in [0, 1]")
         if not abs(float(v.sum()) - 1.0) <= 1e-9:  # so a NaN sum fails too
             raise ValidationError(f"probabilities sum to {v.sum()!r}, expected 1")
@@ -217,10 +223,13 @@ class ReliabilityTable:
         return float(np.sum(self.counts[filled] / n * gaps))
 
 
-def _softmax64(values: np.ndarray) -> np.ndarray:
-    z = values - values.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _softmax64(values: np.ndarray, T: float = 1.0) -> np.ndarray:
+    """softmax(values / T), each step in place in the one array returned."""
+    z = np.divide(values, T)
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def softmax(f: LogitField) -> ProbField:
@@ -237,7 +246,7 @@ def _checked_temperature(T) -> float:
 
 def apply_temperature(f: LogitField, T: float) -> ProbField:
     """Softmax of logits divided by temperature T > 0; T=1 is plain softmax."""
-    return ProbField(f.grid, _softmax64(f.values / _checked_temperature(T)))
+    return ProbField(f.grid, _softmax64(f.values, _checked_temperature(T)))
 
 
 @contextlib.contextmanager

@@ -26,7 +26,11 @@ _SLAB_CELLS cells, and runs them through ``calibration._two_lanes``, the lane
 scheduler the calibration pass uses; a grid of one slab runs on the caller
 alone. Each slab's rows get the bits the whole grid gives them, so results
 do not depend on the cut or the lane. Each lane's buffer is its scratch for
-one slab, made once per call.
+one slab, made once per call. The lane that sums a slab also reduces it to
+(first argmax, best, runner-up); ``ua_exact``, ``ua_fast`` and ``gaussian``
+merge those in slab order, an earlier slab winning a tie, and never scan the
+whole score array. ``_result_from_scores`` serves ``greedy`` and
+``ua_restricted``.
 
 Where a field goes in the padded buffer and which shifts are added (its
 ``_Layout``) depend on the configuration alone: (grid, metric, tau) for the
@@ -96,18 +100,30 @@ class SelectionResult:
     flags: tuple[str, ...] = ()
 
 
+def _top2(scores: np.ndarray, at: int = 0) -> tuple[int, float, float]:
+    """(at + first argmax, its score, the largest other score or -inf)."""
+    pos = int(np.argmax(scores))
+    second = max(scores[:pos].max(initial=-np.inf), scores[pos + 1:].max(initial=-np.inf))
+    return at + pos, float(scores[pos]), float(second)
+
+
+def _result_from_tops(tops, n: int, actions: np.ndarray | None = None) -> SelectionResult:
+    """Lowest-first argmax plus margin of n scores from the ``_top2`` of their
+    consecutive parts, in order: a tie goes to the earlier part. ``actions``
+    maps positions to flat ids."""
+    pos, best, second = tops[0]
+    for at, b, s in tops[1:]:
+        if b > best:
+            pos, best, second = at, b, max(best, s)
+        else:
+            second = max(second, b)
+    action = pos if actions is None else int(actions[pos])
+    return SelectionResult(action, best, best - second if n > 1 else 0.0, n)
+
+
 def _result_from_scores(scores: np.ndarray, actions: np.ndarray | None = None) -> SelectionResult:
     """Lowest-first argmax plus margin; ``actions`` maps positions to flat ids."""
-    pos = int(np.argmax(scores))
-    best = float(scores[pos])
-    if scores.size > 1:
-        second = max(scores[:pos].max(initial=-np.inf),
-                     scores[pos + 1:].max(initial=-np.inf))
-        gap = best - float(second)
-    else:
-        gap = 0.0
-    action = pos if actions is None else int(actions[pos])
-    return SelectionResult(action, best, gap, int(scores.size))
+    return _result_from_tops([_top2(scores)], int(scores.size), actions)
 
 
 def _empty_neighborhoods(p: ProbField) -> SelectionResult:
@@ -195,8 +211,9 @@ def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
     return _layout(grid.dims, ball_offsets(grid, metric, tau)) if lay is None else lay
 
 
-def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
-    """``values`` shift-added through each of ``layouts`` in turn, flat order.
+def _aggregate_top2(grid: ActionGrid, values: np.ndarray, layouts) -> tuple[np.ndarray, list]:
+    """``values`` shift-added through each of ``layouts`` in turn, flat order,
+    and each slab's ``_top2`` of its sums, in slab order.
 
     sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds
     x + offsets[k]. One stencil layout gives its neighborhood sums. One
@@ -214,12 +231,15 @@ def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
     side of [a, b), zeros around. It sums into the scratch's accumulator,
     from which the next pass reads; the scratch's tail takes weighted terms. So
     each cell adds the terms it adds in the whole padded field, in order,
-    and gets the bits the whole grid gives it.
+    and gets the bits the whole grid gives it. The lane that wrote a slab's
+    sums then reduces them, so ``_result_from_tops`` of the slabs' tops is
+    ``_result_from_scores`` of the sums without a serial pass over them.
     """
     dims = grid.dims
     field = np.asarray(values, dtype=np.float64).reshape(dims)
     out = np.empty(dims)
-    slab = min(-(-_SLAB_CELLS // math.prod(dims[1:])), dims[0])
+    cells = math.prod(dims[1:])  # per row of the result
+    slab = min(-(-_SLAB_CELLS // cells), dims[0])
     lead = width = 0  # the largest lead and padded row over the layouts
     weighted = False
     for lay in layouts:
@@ -247,9 +267,20 @@ def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
             _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
             src, at = sums.reshape((b - a,) + lay.padded[1:])[crop], a
         out[a:b] = src
+        return _top2(out[a:b].reshape(-1), a * cells)
 
-    _two_lanes(slab_sums, -(-dims[0] // slab), (tmp_at + tmp_len,))
-    return out.reshape(-1)
+    tops = _two_lanes(slab_sums, -(-dims[0] // slab), (tmp_at + tmp_len,))
+    return out.reshape(-1), tops
+
+
+def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
+    """``_aggregate_top2``'s sums alone."""
+    return _aggregate_top2(grid, values, layouts)[0]
+
+
+def _aggregate_select(p: ProbField, layouts) -> SelectionResult:
+    """``_result_from_scores`` of p's ``_aggregate`` through ``layouts``, from its slabs' tops."""
+    return _result_from_tops(_aggregate_top2(p.grid, p.values, layouts)[1], p.grid.size)
 
 
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,
@@ -262,8 +293,7 @@ def ua_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     """Exact neighborhood-aggregation selection (any metric)."""
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
-    sums = neighborhood_sums(p.grid, p.values, cfg.metric, cfg.tau)
-    return _result_from_scores(sums)
+    return _aggregate_select(p, (_stencil_layout(p.grid, cfg.metric, cfg.tau),))
 
 
 def _axis_layouts(dims: tuple[int, ...], taps) -> tuple[_Layout, ...]:
@@ -304,8 +334,7 @@ def ua_select_fast(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     if cfg.tau == 0.0:
         return _empty_neighborhoods(p)
     reach = tuple(ball_reach(p.grid, cfg.metric, cfg.tau))
-    sums = _aggregate(p.grid, p.values, _box_layouts(p.grid.dims, reach))
-    return _result_from_scores(sums)
+    return _aggregate_select(p, _box_layouts(p.grid.dims, reach))
 
 
 def _top_k(indices: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -394,8 +423,7 @@ def gaussian_blur(grid: ActionGrid, values: np.ndarray, sigma: float) -> np.ndar
 
 def gaussian_select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:
     """Argmax of the Gaussian-blurred field."""
-    blurred = gaussian_blur(p.grid, p.values, cfg.sigma)
-    return _result_from_scores(blurred)
+    return _aggregate_select(p, _gaussian_layouts(p.grid.dims, cfg.sigma))
 
 
 def select(p: ProbField, cfg: SelectionConfig) -> SelectionResult:

@@ -206,6 +206,102 @@ class TestApplyTemperature:
                 assert np.argmax(apply_temperature(f, T).values) == base
 
 
+def separate_softmax(v, T):
+    """softmax(v / T) with a fresh array for each step, as it was written
+    before softmax built the field in one buffer."""
+    z = v / T
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+@st.composite
+def logit_fields(draw):
+    """A LogitField on 1-4 axes: normal, constant, or spread so wide that
+    some cells underflow to 0 at any T up to T_MAX."""
+    dims = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    n = math.prod(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "constant", "wide"]))
+    if kind == "constant":
+        v = np.full(n, draw(st.floats(-1e3, 1e3)))
+    elif kind == "wide":  # exp underflows below -745, and these spread over 1e5
+        v = rng.normal(0.0, 1e5, n)
+        v[0] = v.max() + 1e5
+    else:
+        v = rng.normal(0.0, draw(st.floats(0.1, 30.0)), n)
+    return LogitField(ActionGrid(dims), v)
+
+
+class TestOneBufferSoftmax:
+    """softmax and apply_temperature give the bits of the separate-array steps."""
+
+    @given(logit_fields(), st.floats(T_MIN, T_MAX) | st.sampled_from([T_MIN, 1.0, T_MAX]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_separate_steps(self, f, T):
+        got = apply_temperature(f, T).values
+        assert np.array_equal(got.view(np.int64), separate_softmax(f.values, T).view(np.int64))
+        got = softmax(f).values
+        assert np.array_equal(got.view(np.int64), separate_softmax(f.values, 1.0).view(np.int64))
+
+    def test_wide_fields_underflow(self):
+        # the "wide" kind of logit_fields reaches exp's underflow, so zeros are covered
+        v = np.random.default_rng(2).normal(0.0, 1e5, 50)
+        v[0] = v.max() + 1e5
+        p = apply_temperature(LogitField(ActionGrid((5, 10)), v), T_MAX)
+        assert np.count_nonzero(p.values == 0.0) > 0
+
+    def test_result_is_the_only_array_left(self):
+        f = field(np.random.default_rng(1).normal(size=64))
+        p = apply_temperature(f, 2.0)
+        assert not p.values.flags.writeable
+        assert not np.shares_memory(p.values, f.values)
+
+
+def mask_check(values):
+    """ProbField's range and sum checks with the masks v < 0 and v > 1: the
+    message it raised, or None."""
+    v = np.asarray(values, dtype=np.float64)
+    if np.any(v < 0) or np.any(v > 1):
+        return "probabilities must lie in [0, 1]"
+    if not abs(float(v.sum()) - 1.0) <= 1e-9:
+        return f"probabilities sum to {v.sum()!r}, expected 1"
+    return None
+
+
+PROB_CHECK_CASES = {
+    "nan": [0.5, np.nan, 0.5],
+    "nan and a negative": [np.nan, -0.5, 0.5, 1.0],
+    "nan and above one": [np.nan, 1.5, -0.5],
+    "all nan": [np.nan, np.nan],
+    "+inf": [0.5, np.inf, 0.5],
+    "-inf": [0.5, -np.inf, 0.5],
+    "-0.0": [-0.0, 0.5, 0.5],
+    "-0.0 beside one": [1.0, -0.0],
+    "only -0.0": [-0.0, -0.0],
+    "just above one": [np.nextafter(1.0, 2.0), 0.0],
+    "tiny negative": [-5e-324, 0.5, 0.5],
+    "small negative": [-1e-12, 1.0],
+    "sum off by 2e-9": [0.5, 0.5 + 2e-9],
+    "sum off by -2e-9": [0.5, 0.5 - 2e-9],
+    "sum off by 5e-10": [0.5, 0.5 + 5e-10],
+    "one": [1.0],
+}
+
+
+class TestProbFieldRangeCheck:
+    @pytest.mark.parametrize("values", PROB_CHECK_CASES.values(), ids=PROB_CHECK_CASES.keys())
+    def test_accepts_and_rejects_as_the_masks_did(self, values):
+        want = mask_check(values)
+        grid = ActionGrid((len(values),))
+        if want is None:
+            assert ProbField(grid, values).values.tobytes() == np.array(values).tobytes()
+        else:
+            with pytest.raises(ValidationError) as err:
+                ProbField(grid, values)
+            assert str(err.value) == want
+
+
 class TestNll:
     def test_near_zero_loss(self):
         val = nll([sample([10.0, -10.0], 0)], 1.0)

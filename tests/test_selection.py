@@ -623,6 +623,16 @@ class TestKernelMemory:
             assert self.peak_bytes(lambda: select(p, cfg)) <= 3 * p.values.nbytes
 
 
+class TestFieldMemory:
+    def test_apply_temperature_peak_is_one_field(self):
+        # the field is built in the array it is returned in
+        grid = ActionGrid((64, 64, 64))
+        f = LogitField(grid, np.random.default_rng(6).normal(0.0, 4.0, grid.size))
+        apply_temperature(f, 4.0)
+        peak = TestKernelMemory.peak_bytes(lambda: apply_temperature(f, 4.0))
+        assert peak <= 1.1 * f.values.nbytes
+
+
 LAYOUT_CACHES = (selection._kept_stencil_layout, selection._box_layouts,
                  selection._gaussian_layouts)
 
@@ -798,6 +808,91 @@ class TestSlabs:
                 res = select(p, cfg)
             best = _result_from_scores(want)
             assert (res.action, res.aggregated_score) == (best.action, best.aggregated_score), mode
+
+
+def result_bits(res):
+    """A SelectionResult's fields, its floats by their bits."""
+    return (res.action, res.aggregated_score.hex(), res.runner_up_gap.hex(),
+            res.candidates_evaluated, res.flags)
+
+
+@st.composite
+def slab_prob_fields(draw):
+    """A ProbField from ``slab_fields``, made positive, or two equal spikes on
+    zeros in the first and the last cell, which lie in different slabs."""
+    field = draw(slab_fields())
+    if draw(st.booleans()):
+        field = np.zeros(field.shape)
+        field.flat[0] = field.flat[-1] = 1.0
+    else:
+        field = field + 1.0
+    return ProbField(ActionGrid(field.shape), field.ravel() / field.sum())
+
+
+def box_sums(p, tau):
+    """``ua_fast``'s whole score array: chebyshev box sums, axis by axis."""
+    reach = tuple(ball_reach(p.grid, CHEB, tau))
+    return _aggregate(p.grid, p.values, selection._box_layouts(p.grid.dims, reach))
+
+
+def full_field_scores(p, kind, tau, sigma):
+    """{mode: (config, its whole score array)} for ua_exact, ua_fast (chebyshev
+    only) and gaussian on p."""
+    metric = Metric(kind)
+    out = {"ua_exact": (SelectionConfig(metric=metric, tau=tau),
+                        neighborhood_sums(p.grid, p.values, metric, tau)),
+           "gaussian": (SelectionConfig(sigma=sigma, mode="gaussian"),
+                        gaussian_blur(p.grid, p.values, sigma))}
+    if kind == "chebyshev":
+        out["ua_fast"] = (SelectionConfig(metric=metric, tau=tau, mode="ua_fast"),
+                          box_sums(p, tau))
+    return out
+
+
+class TestSlabTops:
+    """Each lane's per-slab (argmax, best, runner-up), merged in slab order,
+    is the whole score array's result, bit for bit."""
+
+    @given(slab_prob_fields(), st.sampled_from(KINDS), st.floats(0.3, 6.0) | st.just(1000.0),
+           st.floats(0.2, 4.0), slab_cuts())
+    @settings(max_examples=150, deadline=None)
+    def test_merged_tops_equal_the_whole_array_result(self, p, kind, tau, sigma, cut):
+        with mock.patch.object(selection, "_SLAB_CELLS", cut):
+            for mode, (cfg, scores) in full_field_scores(p, kind, tau, sigma).items():
+                res = select(p, cfg)
+                assert result_bits(res) == result_bits(_result_from_scores(scores)), mode
+                tied = np.flatnonzero(scores == scores.max())
+                assert res.action == tied[0], mode
+                if len(tied) > 1:
+                    assert res.runner_up_gap == 0.0, mode
+
+    @pytest.mark.parametrize("cfg", [
+        SelectionConfig(metric=EUCL, tau=0.5),
+        SelectionConfig(metric=CHEB, tau=0.5, mode="ua_fast"),
+        SelectionConfig(sigma=1.0, mode="gaussian")], ids=["ua_exact", "ua_fast", "gaussian"])
+    def test_first_slab_wins_a_tie_across_slabs(self, cfg):
+        # equal spikes in the first and the last of six one-row slabs, beyond
+        # each other's reach: both cells score the maximum, bit for bit
+        grid = ActionGrid((6, 5))
+        v = np.zeros(grid.size)
+        v[0] = v[-1] = 0.5
+        p = ProbField(grid, v)
+        with mock.patch.object(selection, "_SLAB_CELLS", 5), \
+                mock.patch("uacal.calibration._beside", wraps=calibration._beside) as beside:
+            res = select(p, cfg)
+        assert beside.call_count == 1
+        assert (res.action, res.runner_up_gap, res.candidates_evaluated) == (0, 0.0, grid.size)
+        assert res.aggregated_score > 0.0
+
+    def test_flat_field_ties_go_to_the_lowest_cell(self):
+        # ua_fast's full boxes on a flat field: every cell of the grid ties
+        grid = ActionGrid((10, 4, 3))
+        p = ProbField(grid, np.full(grid.size, 1.0 / grid.size))
+        with mock.patch.object(selection, "_SLAB_CELLS", 12):
+            res = select(p, SelectionConfig(metric=CHEB, tau=1000.0, mode="ua_fast"))
+            sums = box_sums(p, 1000.0)
+        assert np.all(sums == sums[0])
+        assert (res.action, res.aggregated_score, res.runner_up_gap) == (0, sums[0], 0.0)
 
 
 def both_lanes_enter():
