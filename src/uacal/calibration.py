@@ -3,8 +3,8 @@
 A scalar temperature T divides the logits before softmax. T is fitted by
 minimizing mean negative log-likelihood of the expert actions on a
 calibration set, which is convex in beta = 1/T, via safeguarded Newton
-steps on beta. The calibration set is one ``LogitBatch`` (a list of
-``CalibrationSample``s is stacked into one first). One blocked pass over it
+steps on beta. Every routine takes the calibration set as one
+``LogitBatch``, as ``read_dataset`` returns it. One blocked pass over it
 yields each row block's shifted logits z, e = exp(z) and the row sums s;
 the NLL and its derivatives, the reliability table and the entropy all come
 from those three arrays, so each logit is exponentiated once per pass, and
@@ -153,40 +153,6 @@ class LogitBatch:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-
-def _records(samples, grid: ActionGrid | None = None, rec: np.ndarray | None = None) -> tuple:
-    """Unchecked LogitBatch fields (grid, logits, experts, task ids) of samples
-    all on one grid (``grid`` if given), copied into the "logits", "expert"
-    and "task" fields of the record array rec (default: float64 logits): a
-    LogitBatch's arrays one field at a time, a sample sequence row by row."""
-    if isinstance(samples, LogitBatch):
-        grids, tasks, experts = [samples.grid], samples.task_ids, samples.experts
-    else:
-        samples = list(samples)
-        grids = [s.logits.grid for s in samples]
-        tasks, experts = [s.task_id for s in samples], [s.expert for s in samples]
-    if grid is None:
-        if not grids:
-            raise ParameterError("calibration requires a nonempty dataset")
-        grid = grids[0]
-    if any(g is not grid and g != grid for g in grids):
-        raise ValidationError("all samples must share a single grid")
-    if rec is None:
-        rec = np.empty(len(samples), [("task", np.int64), ("expert", np.int64),
-                                      ("logits", np.float64, (grid.size,))])
-    rec["task"], rec["expert"] = tasks, experts
-    if isinstance(samples, LogitBatch):
-        rec["logits"] = samples.logits
-    else:
-        for row, s in zip(rec["logits"], samples):
-            row[:] = s.logits.values
-    return grid, rec["logits"], rec["expert"], rec["task"]
-
-
-def _as_batch(data) -> LogitBatch:
-    """data itself if it is a LogitBatch, else its samples stacked into one."""
-    return data if isinstance(data, LogitBatch) else LogitBatch(*_records(data))
 
 
 @dataclass(frozen=True)
@@ -355,11 +321,11 @@ def _nll_rows(z, e, s, experts, _):
     return picked, mean - z_expert, np.einsum("ij,ij,ij->i", e, z, z) / s, flat
 
 
-def _nll_pass(data, T: float):
+def _nll_pass(batch: LogitBatch, T: float):
     """(NLL, gradient, curvature, flat) at T: the mean NLL, its derivatives in
     beta = 1/T, mean(E_p[x] - x_expert) and mean(Var_p[x]) over the raw logits
     x, and whether every row is constant."""
-    picked, grads, curvs, flats = zip(*_softmax_blocks(_as_batch(data), T, _nll_rows))
+    picked, grads, curvs, flats = zip(*_softmax_blocks(batch, T, _nll_rows))
     value, grad, curv = (float(np.concatenate(x).mean()) for x in (picked, grads, curvs))
     # z is x / T less a per-row constant: scale by T and T^2
     return -value, T * grad, T * T * curv, bool(all(flats))
@@ -369,13 +335,13 @@ def _picked(z, e, s, experts, _):
     return z[np.arange(len(z)), experts] - np.log(s)
 
 
-def nll(data, T: float) -> float:
-    """Mean negative log-likelihood of expert actions at temperature T."""
-    return -float(np.concatenate(_softmax_blocks(_as_batch(data), T, _picked)).mean())
+def nll(batch: LogitBatch, T: float) -> float:
+    """Mean negative log-likelihood of batch's expert actions at temperature T."""
+    return -float(np.concatenate(_softmax_blocks(batch, T, _picked)).mean())
 
 
-def fit_temperature(data) -> TemperatureModel:
-    """Fit the temperature minimizing NLL over [T_MIN, T_MAX]; deterministic.
+def fit_temperature(batch: LogitBatch) -> TemperatureModel:
+    """Fit the temperature minimizing batch's NLL over [T_MIN, T_MAX]; deterministic.
 
     Newton steps on beta = 1/T from T=1, one blocked pass each, inside a
     bracket from the gradients' signs (a step leaving it bisects in log beta).
@@ -385,7 +351,6 @@ def fit_temperature(data) -> TemperatureModel:
     logits are constant the objective is flat in T: the fit returns T=1 with
     the degenerate flag set.
     """
-    batch = _as_batch(data)
     b_lo, b_hi = 1.0 / T_MAX, 1.0 / T_MIN
     lo, hi, beta, last = b_lo / 2, b_hi * 2, 1.0, math.inf  # ends outside the domain: open
     for passes in itertools.count(1):
@@ -414,7 +379,7 @@ def _report_rows(z, e, s, experts, tasks):
     return np.exp(-log_s), z.argmax(axis=1) == experts, tasks, high
 
 
-def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
+def calibration_report(batch: LogitBatch, T: float = 1.0, n_bins: int = DEFAULT_BINS
                        ) -> tuple[ReliabilityTable, dict[int, float]]:
     """(ReliabilityTable, {task id: max entropy}) at T from one blocked pass.
 
@@ -424,7 +389,7 @@ def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
     """
     if n_bins < 1:
         raise ParameterError(f"n_bins must be >= 1, got {n_bins}")
-    confs, hits, ids, highs = zip(*_softmax_blocks(_as_batch(data), T, _report_rows))
+    confs, hits, ids, highs = zip(*_softmax_blocks(batch, T, _report_rows))
     conf = np.concatenate(confs)
     correct = np.concatenate(hits)
     # equal-width bins on [0,1]; confidence 1.0 lands in the top bin
@@ -442,19 +407,20 @@ def calibration_report(data, T: float = 1.0, n_bins: int = DEFAULT_BINS
     return table, dict(zip(tasks.tolist(), best.tolist()))
 
 
-def reliability_bins(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
+def reliability_bins(batch: LogitBatch, T: float = 1.0,
+                     n_bins: int = DEFAULT_BINS) -> ReliabilityTable:
     """Equal-width confidence binning: ``calibration_report``'s table part."""
-    return calibration_report(data, T, n_bins)[0]
+    return calibration_report(batch, T, n_bins)[0]
 
 
-def ece(data, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
+def ece(batch: LogitBatch, T: float = 1.0, n_bins: int = DEFAULT_BINS) -> float:
     """Expected calibration error: bin-weighted |accuracy - mean confidence|."""
-    return reliability_bins(data, T, n_bins).ece()
+    return reliability_bins(batch, T, n_bins).ece()
 
 
-def max_entropy_by_task(data, T: float = 1.0) -> dict[int, float]:
+def max_entropy_by_task(batch: LogitBatch, T: float = 1.0) -> dict[int, float]:
     """Largest softmax entropy (nats) per task at T: ``calibration_report``'s part."""
-    return calibration_report(data, T)[1]
+    return calibration_report(batch, T)[1]
 
 
 def entropy(p: ProbField) -> float:

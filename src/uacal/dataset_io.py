@@ -23,13 +23,14 @@ is the same as a plain read of the file gives.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import struct
 
 import numpy as np
 
 from .action_space import ActionGrid
-from .calibration import LogitBatch, TemperatureModel, _beside, _records
+from .calibration import LogitBatch, TemperatureModel, _beside
 from .errors import FormatError, RecordError, ValidationError
 
 MAGIC = b"UACL"
@@ -43,6 +44,12 @@ def _digest(*buffers) -> str:
     for b in buffers:
         h.update(b)
     return h.hexdigest()
+
+
+def _file_buffer(nbytes: int) -> memoryview:
+    """nbytes of zeros in a private mapping, unmapped with the last view. A freed file-
+    sized heap block stays resident or not by what else the heap holds: peak RSS varies."""
+    return memoryview(mmap.mmap(-1, 1 + nbytes, mmap.MAP_PRIVATE | mmap.MAP_POPULATE))[:nbytes]
 
 
 def _record_bytes(grid: ActionGrid) -> int:
@@ -70,23 +77,34 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
     dataset, not the one it was fitted on. ``grid`` is required only for an
     empty sample list; when given, every sample must be on it.
     """
-    if not isinstance(samples, LogitBatch):
+    if isinstance(samples, LogitBatch):
+        grids, tasks, experts = [samples.grid], samples.task_ids, samples.experts
+    else:
         samples = list(samples)
+        grids = [s.logits.grid for s in samples]
+        tasks, experts = [s.task_id for s in samples], [s.expert for s in samples]
     if grid is None:
-        if not len(samples):
+        if not grids:
             raise ValidationError("an empty dataset needs an explicit grid")
-        grid = samples[0].logits.grid
-    tasks = np.asarray(samples.task_ids if isinstance(samples, LogitBatch)
-                       else [s.task_id for s in samples])
+        grid = grids[0]
+    tasks = np.asarray(tasks)
     if (bad := (tasks < 0) | (tasks >= 2**32)).any():
         raise ValidationError(f"task id {tasks[bad.argmax()]} out of range [0, 2**32)")
-    rec = np.empty(len(samples), _record_dtype(grid, ValidationError))
+    dtype = _record_dtype(grid, ValidationError)
+    rec = np.frombuffer(_file_buffer(len(samples) * dtype.itemsize), dtype)
+    if any(g is not grid and g != grid for g in grids):
+        raise ValidationError("all samples must share a single grid")
+    rec["task"], rec["expert"] = tasks, experts
     with np.errstate(over="ignore"):  # an overflow to inf fails the finiteness check
-        fields = _records(samples, grid, rec)
+        if isinstance(samples, LogitBatch):
+            rec["logits"] = samples.logits
+        else:
+            for row, s in zip(rec["logits"], samples):
+                row[:] = s.logits.values
     header = MAGIC + struct.pack(f"<IB{grid.ndim}IQ", VERSION, grid.ndim, *grid.dims,
                                  len(samples))
     with _beside(_digest, header, rec) as checksum:
-        LogitBatch(*fields)
+        LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(rec)
@@ -131,7 +149,7 @@ def expected_length(grid: ActionGrid, n_samples: int) -> int:
     return 9 + 4 * grid.ndim + 8 + n_samples * _record_bytes(grid)
 
 
-def _read_batch(path) -> tuple[LogitBatch, bytearray]:
+def _read_batch(path) -> tuple[LogitBatch, memoryview]:
     """read_dataset, plus the file's bytes that the batch views, from which
     ``_digest`` gives the file's ``dataset_checksum`` without a second read."""
     with open(path, "rb") as fh:
@@ -141,7 +159,7 @@ def _read_batch(path) -> tuple[LogitBatch, bytearray]:
         if (have := os.fstat(fh.fileno()).st_size) != size:
             raise FormatError(f"file length {have} does not match expected {size} "
                               f"for {n_samples} samples on dims {grid.dims}")
-        data = bytearray(size)
+        data = _file_buffer(size)
         fh.seek(0)
         if fh.readinto(data) != size:
             raise FormatError(f"file shrank below {size} bytes while being read")

@@ -26,11 +26,11 @@ _SLAB_CELLS cells, and runs them through ``calibration._two_lanes``, the lane
 scheduler the calibration pass uses; a grid of one slab runs on the caller
 alone. Each slab's rows get the bits the whole grid gives them, so results
 do not depend on the cut or the lane. Each lane's buffer is its scratch for
-one slab, made once per call. The lane that sums a slab also reduces it to
-(first argmax, best, runner-up); ``ua_exact``, ``ua_fast`` and ``gaussian``
-merge those in slab order, an earlier slab winning a tie, and never scan the
-whole score array. ``_result_from_scores`` serves ``greedy`` and
-``ua_restricted``.
+one slab, made once per call. For ``ua_exact``, ``ua_fast`` and ``gaussian``
+the lane that sums a slab reduces it to (first argmax, best, runner-up), and
+those merge in slab order, an earlier slab winning a tie: no score array is
+built. ``neighborhood_sums`` and ``gaussian_blur`` copy each slab's sums into
+one array; ``_result_from_scores`` serves ``greedy`` and ``ua_restricted``.
 
 Where a field goes in the padded buffer and which shifts are added (its
 ``_Layout``) depend on the configuration alone: (grid, metric, tau) for the
@@ -211,9 +211,10 @@ def _stencil_layout(grid: ActionGrid, metric: Metric, tau: float) -> _Layout:
     return _layout(grid.dims, ball_offsets(grid, metric, tau)) if lay is None else lay
 
 
-def _aggregate_top2(grid: ActionGrid, values: np.ndarray, layouts) -> tuple[np.ndarray, list]:
-    """``values`` shift-added through each of ``layouts`` in turn, flat order,
-    and each slab's ``_top2`` of its sums, in slab order.
+def _slabs(grid: ActionGrid, values: np.ndarray, layouts, finish) -> list:
+    """[finish(sums, at) for each slab], in slab order: sums holds the slab's
+    part of ``values`` shift-added through each of ``layouts`` in turn, flat
+    in the lane's scratch, and at is the flat index of its first cell.
 
     sums[x] = sum of weights[k] * field[x + offsets[k]] over in-bounds
     x + offsets[k]. One stencil layout gives its neighborhood sums. One
@@ -231,13 +232,12 @@ def _aggregate_top2(grid: ActionGrid, values: np.ndarray, layouts) -> tuple[np.n
     side of [a, b), zeros around. It sums into the scratch's accumulator,
     from which the next pass reads; the scratch's tail takes weighted terms. So
     each cell adds the terms it adds in the whole padded field, in order,
-    and gets the bits the whole grid gives it. The lane that wrote a slab's
-    sums then reduces them, so ``_result_from_tops`` of the slabs' tops is
-    ``_result_from_scores`` of the sums without a serial pass over them.
+    and gets the bits the whole grid gives it. The pass buffer, unread after
+    the last pass, takes the slab's sums, and the lane that summed them runs
+    finish on them there.
     """
     dims = grid.dims
     field = np.asarray(values, dtype=np.float64).reshape(dims)
-    out = np.empty(dims)
     cells = math.prod(dims[1:])  # per row of the result
     slab = min(-(-_SLAB_CELLS // cells), dims[0])
     lead = width = 0  # the largest lead and padded row over the layouts
@@ -266,21 +266,23 @@ def _aggregate_top2(grid: ActionGrid, values: np.ndarray, layouts) -> tuple[np.n
             sums = acc[:(b - a) * row]
             _shift_add(sums, padded, lay.lead, lay.shifts.tolist(), lay.weights, tmp)
             src, at = sums.reshape((b - a,) + lay.padded[1:])[crop], a
-        out[a:b] = src
-        return _top2(out[a:b].reshape(-1), a * cells)
+        sums = buf[:src.size]
+        sums.reshape(src.shape)[...] = src
+        return finish(sums, a * cells)
 
-    tops = _two_lanes(slab_sums, -(-dims[0] // slab), (tmp_at + tmp_len,))
-    return out.reshape(-1), tops
+    return _two_lanes(slab_sums, -(-dims[0] // slab), (tmp_at + tmp_len,))
 
 
 def _aggregate(grid: ActionGrid, values: np.ndarray, layouts) -> np.ndarray:
-    """``_aggregate_top2``'s sums alone."""
-    return _aggregate_top2(grid, values, layouts)[0]
+    """``_slabs``' sums of ``values`` through ``layouts``, in one array, flat order."""
+    out = np.empty(grid.size)
+    _slabs(grid, values, layouts, lambda sums, at: np.copyto(out[at:at + len(sums)], sums))
+    return out
 
 
 def _aggregate_select(p: ProbField, layouts) -> SelectionResult:
     """``_result_from_scores`` of p's ``_aggregate`` through ``layouts``, from its slabs' tops."""
-    return _result_from_tops(_aggregate_top2(p.grid, p.values, layouts)[1], p.grid.size)
+    return _result_from_tops(_slabs(p.grid, p.values, layouts, _top2), p.grid.size)
 
 
 def neighborhood_sums(grid: ActionGrid, values: np.ndarray, metric: Metric,

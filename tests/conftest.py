@@ -14,6 +14,14 @@ import pytest
 
 from uacal import dataset_io
 from uacal.action_space import ActionGrid, Metric, coords_of
+from uacal.calibration import LogitBatch
+
+
+def batch_of(samples):
+    """The LogitBatch holding the same records as a sample list."""
+    return LogitBatch(samples[0].logits.grid,
+                      np.stack([s.logits.values for s in samples]),
+                      [s.expert for s in samples], [s.task_id for s in samples])
 
 
 def metric_units(grid: ActionGrid, metric: Metric):

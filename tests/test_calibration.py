@@ -30,7 +30,7 @@ from uacal.calibration import (
 from uacal.errors import ParameterError, RecordError, ValidationError
 from uacal.simbench import make_calibration_set
 
-from conftest import oracle_ece
+from conftest import batch_of, oracle_ece
 
 
 def field(values):
@@ -39,13 +39,6 @@ def field(values):
 
 def sample(values, expert, task_id=0):
     return CalibrationSample(field(values), expert, task_id)
-
-
-def batch_of(samples):
-    """The LogitBatch holding the same records as a sample list."""
-    return LogitBatch(samples[0].logits.grid,
-                      np.stack([s.logits.values for s in samples]),
-                      [s.expert for s in samples], [s.task_id for s in samples])
 
 
 def c4_data(gain):
@@ -304,13 +297,13 @@ class TestProbFieldRangeCheck:
 
 class TestNll:
     def test_near_zero_loss(self):
-        val = nll([sample([10.0, -10.0], 0)], 1.0)
+        val = nll(batch_of([sample([10.0, -10.0], 0)]), 1.0)
         assert val == pytest.approx(math.log(1 + math.exp(-20.0)), rel=1e-9)
         assert val == pytest.approx(2.06e-9, rel=0.01)
 
     def test_uniform(self):
         for T in (0.3, 1.0, 7.0):
-            assert nll([sample([1.0] * 4, 2)], T) == pytest.approx(math.log(4), abs=1e-12)
+            assert nll(batch_of([sample([1.0] * 4, 2)]), T) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_naive_summation(self, rng):
         # the second input holds two rows per block: four blocks, last ragged
@@ -322,7 +315,7 @@ class TestNll:
             for s in samples:
                 z = np.exp((s.logits.values / T) - np.max(s.logits.values / T))
                 acc += -math.log(z[s.expert] / z.sum())
-            assert nll(samples, T) == pytest.approx(acc / n, abs=1e-12)
+            assert nll(batch_of(samples), T) == pytest.approx(acc / n, abs=1e-12)
 
     def test_exact_when_confident_wrong(self, rng):
         # scale-50 logits, every tenth expert on the argmin cell: at small T
@@ -339,16 +332,16 @@ class TestNll:
                 lse = m + math.log(math.fsum(math.exp(v - m) for v in z))
                 terms.append(lse - z[s.expert])
             want = math.fsum(terms) / len(samples)
-            assert nll(samples, T) == pytest.approx(want, rel=1e-12)
+            assert nll(batch_of(samples), T) == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            nll([], 1.0)
+            nll(LogitBatch(ActionGrid((3,)), np.zeros((0, 3)), [], []), 1.0)
 
 
 class TestFitTemperature:
     def test_degenerate_uniform_logits(self):
-        data = [sample([2.0, 2.0, 2.0], 1) for _ in range(5)]
+        data = batch_of([sample([2.0, 2.0, 2.0], 1) for _ in range(5)])
         model = fit_temperature(data)
         assert model.temperature == 1.0
         assert model.degenerate
@@ -367,14 +360,14 @@ class TestFitTemperature:
     def test_pinned_at_t_min_when_every_expert_is_the_argmax(self, rng, scale):
         # NLL falls monotonically as T -> 0; scale 1000 puts every row deep in
         # the exponential tail, where plain Newton steps stay tiny
-        data = [sample(z, int(np.argmax(z))) for z in rng.normal(0, 1, (50, 8)) * scale]
+        data = batch_of([sample(z, int(np.argmax(z))) for z in rng.normal(0, 1, (50, 8)) * scale])
         model = fit_temperature(data)
         assert model.temperature == T_MIN
         assert model.at_bound and not model.degenerate
         assert model.iterations <= 8
 
     def test_pinned_at_t_max_when_every_expert_is_the_argmin(self, rng):
-        data = [sample(z, int(np.argmin(z))) for z in rng.normal(0, 1, (50, 8))]
+        data = batch_of([sample(z, int(np.argmin(z))) for z in rng.normal(0, 1, (50, 8))])
         model = fit_temperature(data)
         assert model.temperature == T_MAX
         assert model.at_bound
@@ -403,9 +396,9 @@ class TestFitTemperature:
         grid = ActionGrid((32,))
         data = make_calibration_set(800, 3.0, grid, seed=9)
         model = fit_temperature(data)
-        rescaled = [CalibrationSample(
+        rescaled = batch_of([CalibrationSample(
             LogitField(grid, s.logits.values / model.temperature),
-            s.expert, s.task_id) for s in data]
+            s.expert, s.task_id) for s in data])
         refit = fit_temperature(rescaled)
         assert refit.temperature == pytest.approx(1.0, abs=1e-3 * (1 + model.temperature))
 
@@ -414,13 +407,13 @@ class TestFitTemperature:
         grid = ActionGrid((32,))
         data = make_calibration_set(1200, 2.0, grid, seed=13)
         base = fit_temperature(data).temperature
-        scaled = [CalibrationSample(LogitField(grid, s.logits.values * t0),
-                                    s.expert, s.task_id) for s in data]
+        scaled = batch_of([CalibrationSample(LogitField(grid, s.logits.values * t0),
+                                             s.expert, s.task_id) for s in data])
         assert fit_temperature(scaled).temperature == pytest.approx(base * t0, rel=1e-3)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            fit_temperature([])
+            fit_temperature(LogitBatch(ActionGrid((3,)), np.zeros((0, 3)), [], []))
 
     def test_deterministic(self):
         grid = ActionGrid((16,))
@@ -431,22 +424,7 @@ class TestFitTemperature:
 
 
 class TestBatchInput:
-    """A LogitBatch and the equivalent sample list give bit-identical results."""
-
-    @pytest.mark.parametrize("n,size", [(300, 16), (7, calibration._BLOCK_BYTES // 16)])
-    def test_bit_identical_to_sample_list(self, rng, n, size):
-        # the second case holds two rows per block: four blocks, the last ragged
-        samples = [sample(rng.normal(0, 3, size=size).astype(np.float32),
-                          int(rng.integers(0, size)), int(rng.integers(0, 3)))
-                   for _ in range(n)]
-        batch = batch_of(samples)
-        assert fit_temperature(batch) == fit_temperature(samples)
-        assert nll(batch, 1.7) == nll(samples, 1.7)
-        a, b = reliability_bins(batch, 0.8, 12), reliability_bins(samples, 0.8, 12)
-        for field_name in ("bin_edges", "counts", "mean_confidence", "accuracy"):
-            assert np.array_equal(getattr(a, field_name), getattr(b, field_name),
-                                  equal_nan=True)
-        assert max_entropy_by_task(batch, 1.3) == max_entropy_by_task(samples, 1.3)
+    """A LogitBatch normalises its arrays and names its first bad record."""
 
     def test_read_only_and_normalised(self):
         batch = LogitBatch(ActionGrid((3,)), np.zeros((2, 3)), np.array([2, 0], np.uint64),
@@ -521,17 +499,6 @@ class TestBatchInput:
         with pytest.raises(ValidationError, match=match):
             sample([0.0, 1.0, 2.0], expert, task_id)
 
-    @pytest.mark.parametrize("other", [ActionGrid((5,)), ActionGrid((2, 2)),
-                                       ActionGrid((4,), (0.5,))])
-    def test_mixed_grids_rejected(self, rng, other):
-        grid = ActionGrid((4,))
-        samples = [CalibrationSample(LogitField(g, rng.normal(size=g.size)), 0)
-                   for g in (grid, grid, other)]
-        for call in (lambda: nll(samples, 1.0), lambda: fit_temperature(samples),
-                     lambda: reliability_bins(samples), lambda: max_entropy_by_task(samples)):
-            with pytest.raises(ValidationError, match="all samples must share a single grid"):
-                call()
-
 
 class TestPerRecordAccess:
     """batch[i] and iteration give each record as a CalibrationSample."""
@@ -562,7 +529,7 @@ class TestPerRecordAccess:
         assert isinstance(data, LogitBatch) and data.grid == grid
         assert data.logits.dtype == np.float64 and data.logits.shape == (30, 16)
         assert data.task_ids.tolist() == [3] * 30
-        assert nll(data, 1.5) == nll(list(data), 1.5)
+        assert nll(data, 1.5) == nll(batch_of(list(data)), 1.5)
 
 
 class TestSingleExpPass:
@@ -579,7 +546,6 @@ class TestSingleExpPass:
         want = reference_nll(batch.logits, batch.experts, T)
         with mock.patch.object(calibration, "_BLOCK_BYTES", block):
             assert nll(batch, T) == want
-            assert nll(samples, T) == want
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fit_no_worse_than_two_exp_moments(self, seed):
@@ -600,16 +566,16 @@ class TestSingleExpPass:
     def test_rows_equal_only_after_subtracting_log_s_are_not_flat(self):
         # z = [0, -1e-17]: e = [1, 1], s = 2, and both log-softmax entries round
         # to -log 2, but the row is not constant, so the NLL does depend on T
-        data = [sample([0.0, -1e-17], 0) for _ in range(3)]
+        data = batch_of([sample([0.0, -1e-17], 0) for _ in range(3)])
         logp = np.array([0.0, -1e-17]) - math.log(2.0)
         assert logp[0] == logp[1]
         assert not calibration._nll_pass(data, 1.0)[3]
         assert not fit_temperature(data).degenerate
-        assert calibration._nll_pass([sample([2.0, 2.0], 0)], 1.0)[3]
+        assert calibration._nll_pass(batch_of([sample([2.0, 2.0], 0)]), 1.0)[3]
 
     def test_one_report_pass_matches_the_wrappers(self, rng):
-        samples = [sample(rng.normal(0, 2, size=12), int(rng.integers(0, 12)),
-                          int(rng.integers(0, 3))) for _ in range(40)]
+        samples = batch_of([sample(rng.normal(0, 2, size=12), int(rng.integers(0, 12)),
+                                   int(rng.integers(0, 3))) for _ in range(40)])
         table, highs = calibration.calibration_report(samples, 1.7, 9)
         alone = reliability_bins(samples, 1.7, 9)
         for field_name in ("bin_edges", "counts", "mean_confidence", "accuracy"):
@@ -623,7 +589,7 @@ class TestMaxEntropyByTask:
         samples = [sample(rng.normal(0, 2, size=10), 0, int(rng.integers(0, 4)))
                    for _ in range(60)]
         for T in (0.3, 1.0, 4.0):
-            got = max_entropy_by_task(samples, T)
+            got = max_entropy_by_task(batch_of(samples), T)
             assert sorted(got) == sorted({s.task_id for s in samples})
             for tid, h in got.items():
                 want = max(entropy(apply_temperature(s.logits, T))
@@ -631,7 +597,7 @@ class TestMaxEntropyByTask:
                 assert h == pytest.approx(want, abs=1e-12)
 
     def test_one_hot_and_uniform_rows(self):
-        data = [sample([800.0, 0.0, 0.0], 0, 7), sample([1.0, 1.0, 1.0], 0, 9)]
+        data = batch_of([sample([800.0, 0.0, 0.0], 0, 7), sample([1.0, 1.0, 1.0], 0, 9)])
         got = max_entropy_by_task(data)
         assert got[7] == 0.0
         assert got[9] == pytest.approx(math.log(3), abs=1e-15)
@@ -639,12 +605,12 @@ class TestMaxEntropyByTask:
 
 class TestEce:
     def test_confident_correct_near_zero(self):
-        data = [sample([30.0, 0.0, 0.0], 0) for _ in range(10)]
+        data = batch_of([sample([30.0, 0.0, 0.0], 0) for _ in range(10)])
         assert ece(data, 1.0, 15) < 1e-9
 
     def test_single_sample_one_bin(self):
         # confidence 0.8 on a 2-action field: logits (log 4, 0)
-        data = [sample([math.log(4.0), 0.0], 0)]
+        data = batch_of([sample([math.log(4.0), 0.0], 0)])
         assert ece(data, 1.0, 1) == pytest.approx(0.2, abs=1e-12)
 
     def test_matches_two_pass_oracle(self, rng):
@@ -663,7 +629,7 @@ class TestEce:
             expert = spike if rng.random() < 0.5 else int(rng.integers(0, size))
             blocked.append(sample(logits, expert))
         for samples in (data, blocked):
-            got = ece(samples, 1.3, 15)
+            got = ece(batch_of(samples), 1.3, 15)
             confs, hits = [], []
             for s in samples:
                 z = np.exp(s.logits.values / 1.3 - np.max(s.logits.values / 1.3))
@@ -675,8 +641,8 @@ class TestEce:
 
     def test_bounds(self, rng):
         for _ in range(30):
-            data = [sample(rng.normal(0, 3, size=5), int(rng.integers(0, 5)))
-                    for _ in range(40)]
+            data = batch_of([sample(rng.normal(0, 3, size=5), int(rng.integers(0, 5)))
+                             for _ in range(40)])
             val = ece(data, float(rng.uniform(0.2, 5.0)), int(rng.integers(1, 20)))
             assert 0.0 <= val <= 1.0
 
@@ -689,30 +655,30 @@ class TestEce:
             p = z / z.sum()
             data.append(CalibrationSample(LogitField(grid, logits),
                                           int(rng.choice(8, p=p))))
-        assert ece(data, 1.0, 15) < 0.02
+        assert ece(batch_of(data), 1.0, 15) < 0.02
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            ece([], 1.0, 15)
+            ece(LogitBatch(ActionGrid((3,)), np.zeros((0, 3)), [], []), 1.0, 15)
 
 
 class TestReliabilityBins:
     def test_confident_correct_tops_out(self):
-        data = [sample([40.0, 0.0], 0) for _ in range(8)]
+        data = batch_of([sample([40.0, 0.0], 0) for _ in range(8)])
         table = reliability_bins(data, 1.0, 10)
         assert table.counts[-1] == 8
         assert table.counts[:-1].sum() == 0
         assert table.accuracy[-1] == 1.0
 
     def test_counts_sum_to_dataset_size(self, rng):
-        data = [sample(rng.normal(0, 2, size=4), int(rng.integers(0, 4)))
-                for _ in range(57)]
+        data = batch_of([sample(rng.normal(0, 2, size=4), int(rng.integers(0, 4)))
+                         for _ in range(57)])
         table = reliability_bins(data, 0.9, 15)
         assert int(table.counts.sum()) == 57
 
     def test_ece_consistency(self, rng):
-        data = [sample(rng.normal(0, 2, size=5), int(rng.integers(0, 5)))
-                for _ in range(300)]
+        data = batch_of([sample(rng.normal(0, 2, size=5), int(rng.integers(0, 5)))
+                         for _ in range(300)])
         table = reliability_bins(data, 1.1, 15)
         assert table.ece() == pytest.approx(ece(data, 1.1, 15), abs=1e-12)
 
@@ -725,7 +691,7 @@ class TestReliabilityBins:
             p = z / z.sum()
             data.append(CalibrationSample(LogitField(grid, logits),
                                           int(rng.choice(6, p=p))))
-        table = reliability_bins(data, 1.0, 15)
+        table = reliability_bins(batch_of(data), 1.0, 15)
         for count, conf, acc in zip(table.counts, table.mean_confidence,
                                     table.accuracy):
             if count >= 500:

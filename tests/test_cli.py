@@ -22,6 +22,8 @@ from uacal.dataset_io import read_temperature_file, write_dataset
 from uacal.selection import SelectionConfig, greedy_select, select
 from uacal.simbench import make_calibration_set
 
+from conftest import batch_of
+
 
 @pytest.fixture
 def dataset(tmp_path, rng):
@@ -63,7 +65,7 @@ class TestCalibrate:
                       "--out", out_file)
         assert code == 0
         model, _ = read_temperature_file(out_file)
-        lib = fit_temperature([s for s in samples if s.task_id == 1])
+        lib = fit_temperature(batch_of([s for s in samples if s.task_id == 1]))
         assert model.temperature == pytest.approx(lib.temperature, rel=1e-9)
 
     def test_degenerate_strict_exit_4(self, tmp_path, capsys):
@@ -193,11 +195,11 @@ class TestReport:
                         "--out", out_csv)
         assert code == 0
         reported_ece = float(out.split("\n")[0].split()[1])
-        assert reported_ece == pytest.approx(ece(samples, 1.5, 10), abs=1e-15)
+        assert reported_ece == pytest.approx(ece(batch_of(samples), 1.5, 10), abs=1e-15)
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count,mean_confidence,accuracy"
         assert len(lines) == 11
-        table = reliability_bins(samples, 1.5, 10)
+        table = reliability_bins(batch_of(samples), 1.5, 10)
         counts = [int(l.split(",")[2]) for l in lines[1:]]
         assert counts == table.counts.tolist()
 

@@ -1,4 +1,5 @@
 import hashlib
+import mmap
 import re
 import struct
 import tempfile
@@ -27,6 +28,8 @@ from uacal.dataset_io import (
 )
 from uacal.errors import FormatError, ValidationError
 from uacal.simbench import make_calibration_set
+
+from conftest import batch_of
 
 
 def random_samples(rng, grid, n, tasks=1):
@@ -132,6 +135,29 @@ class TestHashWorker:
         with pytest.raises(RuntimeError, match="hash failed"):
             write_dataset(tmp_path / "d.uacl", random_samples(rng, ActionGrid((4,)), 5))
         assert threading.enumerate() == before
+
+
+class TestFileBuffers:
+    """The writer's records and the reader's file bytes each take a private mapping of
+    their own, outside the malloc heap, unmapped when their last view is freed."""
+
+    def test_writer_and_reader_map_their_buffers(self, tmp_path, rng, monkeypatch):
+        sizes = []
+
+        def spy(nbytes, real=dataset_io._file_buffer):
+            sizes.append(nbytes)
+            return real(nbytes)
+        monkeypatch.setattr(dataset_io, "_file_buffer", spy)
+        grid = ActionGrid((4, 3))
+        path = tmp_path / "d.uacl"
+        write_dataset(path, random_samples(rng, grid, 7))
+        batch, data = dataset_io._read_batch(path)
+        assert sizes == [7 * (12 + 4 * grid.size), path.stat().st_size]
+        assert isinstance(data.obj, mmap.mmap) and data == path.read_bytes()
+        assert batch.logits.base is not None  # a view of the mapped bytes, not a copy
+
+    def test_empty_buffer(self):
+        assert dataset_io._file_buffer(0).nbytes == 0
 
 
 class TestRoundTrip:
@@ -248,6 +274,16 @@ class TestRoundTrip:
         batch = LogitBatch(ActionGrid((2, 3)), np.zeros((1, 6)), [0], [0])
         with pytest.raises(ValidationError, match="all samples must share a single grid"):
             write_dataset(tmp_path / "d.uacl", batch, grid=ActionGrid((3, 2)))
+
+    def test_batch_grid_needs_no_record_view(self, tmp_path, monkeypatch):
+        # without ``grid``, the grid is the batch's own, not that of a record 0
+        batch = make_calibration_set(5, 2.0, ActionGrid((3, 4)), seed=1)
+        def refuse(*args):
+            raise AssertionError("write_dataset made a per-record view")
+        monkeypatch.setattr(calibration, "CalibrationSample", refuse)
+        path = tmp_path / "d.uacl"
+        assert write_dataset(path, batch) == dataset_checksum(path)
+        assert read_dataset(path).grid == batch.grid
 
 
 class TestCorruption:
@@ -473,18 +509,19 @@ class TestReadBatch:
             path = written(grid, samples, tmp)
             batch, want = read_dataset(path), reference_records(path)
         listed = list(batch)
+        restacked = batch_of(listed)  # float64 rows of the float32 file
         assert len(listed) == len(want) == len(samples)
         assert [(s.task_id, s.expert, tuple(s.logits.values)) for s in listed] == want
         assert all(not s.logits.values.flags.writeable for s in listed)
         with mock.patch.object(calibration, "_BLOCK_BYTES", 8 * grid.size * rows_per_block):
             for T in (1.5, 40.0):
-                assert calibration.nll(batch, T) == calibration.nll(listed, T)
+                assert calibration.nll(batch, T) == calibration.nll(restacked, T)
                 a = calibration.reliability_bins(batch, T)
-                b = calibration.reliability_bins(listed, T)
+                b = calibration.reliability_bins(restacked, T)
                 for name in ("counts", "mean_confidence", "accuracy"):
                     assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
                 assert calibration.max_entropy_by_task(batch, T) == \
-                    calibration.max_entropy_by_task(listed, T)
+                    calibration.max_entropy_by_task(restacked, T)
 
     def test_peak_memory_is_below_the_float64_logits(self, tmp_path, rng):
         grid = ActionGrid((8, 8))

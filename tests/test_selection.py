@@ -623,6 +623,24 @@ class TestKernelMemory:
             assert self.peak_bytes(lambda: select(p, cfg)) <= 3 * p.values.nbytes
 
 
+class TestSelectMemory:
+    @pytest.mark.parametrize("cfg", [
+        SelectionConfig(metric=EUCL, tau=2.5),
+        SelectionConfig(metric=CHEB, tau=4.5, mode="ua_fast"),
+        SelectionConfig(sigma=1.0, mode="gaussian")], ids=["ua_exact", "ua_fast", "gaussian"])
+    def test_select_builds_no_score_array(self, cfg):
+        # select keeps each slab's sums in its lane's scratch; the sums call
+        # returns one |A|-cell array on top of the same scratch
+        grid = ActionGrid((64, 64, 64))
+        p = random_prob_field(np.random.default_rng(5), grid)
+        sums = {"ua_exact": lambda: neighborhood_sums(grid, p.values, cfg.metric, cfg.tau),
+                "ua_fast": lambda: box_sums(p, cfg.tau),
+                "gaussian": lambda: gaussian_blur(grid, p.values, cfg.sigma)}[cfg.mode]
+        select(p, cfg)  # the layouts are built outside the traced calls
+        peak = TestKernelMemory.peak_bytes
+        assert peak(lambda: select(p, cfg)) <= peak(sums) - 0.9 * p.values.nbytes
+
+
 class TestFieldMemory:
     def test_apply_temperature_peak_is_one_field(self):
         # the field is built in the array it is returned in
