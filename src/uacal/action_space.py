@@ -54,10 +54,7 @@ class ActionGrid:
     @property
     def size(self) -> int:
         """Total action count |A|."""
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
 
 @dataclass(frozen=True)

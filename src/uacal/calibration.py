@@ -4,13 +4,13 @@ A scalar temperature T divides the logits before softmax. T is fitted by
 minimizing mean negative log-likelihood of the expert actions on a
 calibration set, which is convex in beta = 1/T, via safeguarded Newton
 steps on beta. Every routine takes the calibration set as one
-``LogitBatch``, as ``read_dataset`` returns it. One blocked pass over it
-yields each row block's shifted logits z, e = exp(z) and the row sums s;
-the NLL and its derivatives, the reliability table and the entropy all come
-from those three arrays, so each logit is exponentiated once per pass, and
-the NLL is an exact log-softmax at every T. Diagnostics cover expected
-calibration error (ECE), reliability binning, and entropy. All arithmetic is
-float64 regardless of storage precision.
+``LogitBatch``, as ``read_dataset`` returns it. A blocked pass over it
+yields each row block's shifted logits z, e = exp(z) and the row sums s, so
+each logit is exponentiated once per pass. The fit's pass gives the NLL, an
+exact log-softmax at every T, and its derivatives, and ``nll`` runs it too;
+the report's pass gives the reliability table and the entropy. Diagnostics
+cover expected calibration error (ECE), reliability binning, and entropy.
+All arithmetic is float64 regardless of storage precision.
 
 ``softmax`` and ``apply_temperature`` build each probability field in the
 one buffer they return: logits / T go into a fresh array, and the max
@@ -175,10 +175,6 @@ class ReliabilityTable:
     mean_confidence: np.ndarray  # nan for empty bins
     accuracy: np.ndarray        # nan for empty bins
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
-
     def ece(self) -> float:
         """Recompute ECE from the table rows."""
         n = int(self.counts.sum())
@@ -331,13 +327,9 @@ def _nll_pass(batch: LogitBatch, T: float):
     return -value, T * grad, T * T * curv, bool(all(flats))
 
 
-def _picked(z, e, s, experts, _):
-    return z[np.arange(len(z)), experts] - np.log(s)
-
-
 def nll(batch: LogitBatch, T: float) -> float:
-    """Mean negative log-likelihood of batch's expert actions at temperature T."""
-    return -float(np.concatenate(_softmax_blocks(batch, T, _picked)).mean())
+    """Mean negative log-likelihood of batch's expert actions at T: the fit's pass."""
+    return _nll_pass(batch, T)[0]
 
 
 def fit_temperature(batch: LogitBatch) -> TemperatureModel:

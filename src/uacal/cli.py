@@ -63,7 +63,7 @@ def _selection_config(args, mode: str) -> selection.SelectionConfig:
 
 def cmd_calibrate(args) -> int:
     batch, data = dataset_io._read_batch(args.dataset)
-    with calibration._beside(dataset_io._digest, data) as checksum:
+    with calibration._beside(dataset_io._digest, (data,)) as checksum:
         model = calibration.fit_temperature(_filter_task(batch, args.task))
     dataset_io.write_temperature_file(args.out, model, checksum())
     print(f"temperature {model.temperature:.17g} nll {model.final_nll:.17g} "

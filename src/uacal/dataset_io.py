@@ -13,11 +13,11 @@ File length is exactly 9 + 4*ndims + 8 + n*(12 + 4*|A|) bytes. Logits are
 stored f32 and computed on as f64 downstream. ``read_dataset`` returns one
 ``LogitBatch`` over the bytes it read, with no per-record work in Python.
 
-The provenance checksum is the 16-hex-digit BLAKE2b-64 of the whole file.
-``write_dataset`` hashes its buffers on a ``calibration._beside`` worker
-while it checks and writes them, and ``uacal calibrate`` hashes the bytes it
-read while it fits; hashlib releases the GIL on large buffers. The digest
-is the same as a plain read of the file gives.
+The provenance checksum is ``_digest``, the 16-hex-digit BLAKE2b-64 of the
+file's buffers in order. ``write_dataset`` hashes its header and records on a
+``calibration._beside`` worker while it checks and writes them, ``uacal
+calibrate`` the bytes it read while it fits (hashlib releases the GIL on large
+buffers), and ``dataset_checksum`` the file's 1 MiB blocks as it reads them.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ VERSION = 1
 _BLOCK_BYTES = 1 << 20  # bytes per block that dataset_checksum reads
 
 
-def _digest(*buffers) -> str:
-    """16-hex-digit BLAKE2b-64 of a whole UACL file, given as its buffers in order."""
+def _digest(buffers) -> str:
+    """16-hex-digit BLAKE2b-64 of a whole file, given as an iterable of its buffers in order."""
     h = hashlib.blake2b(digest_size=8)
     for b in buffers:
         h.update(b)
@@ -103,7 +103,7 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
                 row[:] = s.logits.values
     header = MAGIC + struct.pack(f"<IB{grid.ndim}IQ", VERSION, grid.ndim, *grid.dims,
                                  len(samples))
-    with _beside(_digest, header, rec) as checksum:
+    with _beside(_digest, (header, rec)) as checksum:
         LogitBatch(grid, rec["logits"], rec["expert"], rec["task"])
         with open(path, "wb") as fh:
             fh.write(header)
@@ -113,11 +113,8 @@ def write_dataset(path, samples, grid: ActionGrid | None = None) -> str:
 
 def dataset_checksum(path) -> str:
     """``_digest`` of the file at ``path``, read _BLOCK_BYTES at a time."""
-    h = hashlib.blake2b(digest_size=8)
     with open(path, "rb") as fh:
-        while block := fh.read(_BLOCK_BYTES):
-            h.update(block)
-    return h.hexdigest()
+        return _digest(iter(lambda: fh.read(_BLOCK_BYTES), b""))
 
 
 def _read_exact(fh, n: int, what: str):

@@ -130,9 +130,10 @@ def slow_digest(monkeypatch):
     list of finished calls' buffer counts."""
     real, finished = dataset_io._digest, []
 
-    def slow(*buffers):
+    def slow(buffers):
+        buffers = list(buffers)
         time.sleep(0.05)
-        digest = real(*buffers)
+        digest = real(buffers)
         finished.append(len(buffers))
         return digest
 

@@ -47,6 +47,8 @@ class TestEnumeration:
         grid = ActionGrid((2, 3))
         with pytest.raises(BoundsError):
             flat_index(grid, (2, 0))
+        with pytest.raises(BoundsError, match="expected 2 coordinates, got 3"):
+            flat_index(grid, (0, 0, 0))
         with pytest.raises(BoundsError):
             coords_of(grid, 6)
         with pytest.raises(BoundsError):
@@ -142,6 +144,8 @@ class TestDistance:
                 Metric("euclidean", scale=(1.0, bad))
         with pytest.raises(ParameterError):
             Metric("mahalanobis")
+        with pytest.raises(ParameterError, match="scale length"):
+            Metric("euclidean", scale=(1.0, 2.0)).axis_units(ActionGrid((4,)))
 
 
 class TestNeighborhood:

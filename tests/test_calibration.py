@@ -132,6 +132,10 @@ class TestFieldTypes:
         with pytest.raises(ValidationError):
             LogitField(ActionGrid((3,)), [0.0, 1.0])
 
+    def test_prob_length_mismatch(self):
+        with pytest.raises(ValidationError, match="probability vector length"):
+            ProbField(ActionGrid((3,)), [0.5, 0.5])
+
     def test_logit_nan_rejected(self):
         with pytest.raises(ValidationError):
             field([0.0, np.nan])
@@ -660,6 +664,12 @@ class TestEce:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             ece(LogitBatch(ActionGrid((3,)), np.zeros((0, 3)), [], []), 1.0, 15)
+
+    def test_table_with_every_bin_empty_reads_zero(self):
+        empty = np.full(3, np.nan)
+        table = calibration.ReliabilityTable(np.linspace(0.0, 1.0, 4), np.zeros(3, np.int64),
+                                             empty, empty)
+        assert table.ece() == 0.0
 
 
 class TestReliabilityBins:

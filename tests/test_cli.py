@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -41,6 +44,15 @@ def dataset(tmp_path, rng):
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     return code, capsys.readouterr().out
+
+
+class TestEntryPoint:
+    def test_module_help_exits_0(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "uacal.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "calibrate" in proc.stdout
 
 
 class TestCalibrate:
@@ -156,7 +168,7 @@ class TestCalibrate:
 
     def test_hash_failure_reaches_the_caller(self, dataset, tmp_path, monkeypatch):
         path, _ = dataset
-        def broken(*buffers):
+        def broken(buffers):
             raise RuntimeError("hash failed")
         monkeypatch.setattr(dataset_io, "_digest", broken)
         out_file = tmp_path / "t.txt"

@@ -128,7 +128,7 @@ class TestHashWorker:
         assert checksum == hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
 
     def test_hash_failure_reaches_the_caller(self, tmp_path, rng, monkeypatch):
-        def broken(*buffers):
+        def broken(buffers):
             raise RuntimeError("hash failed")
         monkeypatch.setattr(dataset_io, "_digest", broken)
         before = threading.enumerate()
@@ -167,6 +167,12 @@ class TestRoundTrip:
         batch = read_dataset(path)
         assert len(batch) == 0 and batch.logits.shape == (0, 12)
         assert count_samples(path) == 0
+
+    def test_empty_list_needs_a_grid(self, tmp_path):
+        path = tmp_path / "d.uacl"
+        with pytest.raises(ValidationError, match="explicit grid"):
+            write_dataset(path, [])
+        assert not path.exists()
 
     def test_single_sample_bit_exact(self, tmp_path, rng):
         grid = ActionGrid((2, 3))
@@ -309,6 +315,22 @@ class TestCorruption:
         with pytest.raises(FormatError, match="version"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("ndims, dims, match", [(0, (), "ndims"), (5, (2,) * 5, "ndims"),
+                                                    (2, (3, 0), "dims must be positive")])
+    def test_bad_header_shape(self, tmp_path, ndims, dims, match):
+        path = tmp_path / "d.uacl"
+        path.write_bytes(b"UACL" + struct.pack(f"<IB{len(dims)}IQ", 1, ndims, *dims, 0))
+        with pytest.raises(FormatError, match=match):
+            read_dataset(path)
+
+    def test_file_that_shrinks_while_read(self, tmp_path, rng, monkeypatch):
+        path = self._write(tmp_path, rng)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-1])
+        monkeypatch.setattr(dataset_io.os, "fstat", lambda fd: mock.Mock(st_size=full))
+        with pytest.raises(FormatError, match="shrank"):
+            read_dataset(path)
+
     def test_truncated_mid_record(self, tmp_path, rng):
         path = self._write(tmp_path, rng)
         data = path.read_bytes()
@@ -440,7 +462,7 @@ class TestFormatProperties:
             path = written(grid, samples, tmp)
             batch, data = dataset_io._read_batch(path)
             assert data == path.read_bytes()
-            assert dataset_io._digest(data) == dataset_checksum(path) == \
+            assert dataset_io._digest((data,)) == dataset_checksum(path) == \
                 hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
             plain = read_dataset(path)
         assert np.array_equal(batch.logits, plain.logits)
@@ -569,6 +591,19 @@ class TestTemperatureFile:
         model, checksum = read_temperature_file(path)
         assert model == TemperatureModel(2.5, 1.25, 29)
         assert not model.at_bound and checksum == "79c74e10a4ccb79e"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "temp.txt"
+        path.write_text("\ntemperature = 2.5\n  \nfinal_nll = 1.25\niterations = 29\n\n"
+                        "dataset_checksum = 79c74e10a4ccb79e\n\n")
+        assert read_temperature_file(path) == (TemperatureModel(2.5, 1.25, 29),
+                                               "79c74e10a4ccb79e")
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "temp.txt"
+        path.write_text("temperature = 2.5\nfinal_nll 1.25\n")
+        with pytest.raises(FormatError, match="bad temperature-file line: 'final_nll 1.25'"):
+            read_temperature_file(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "temp.txt"

@@ -384,6 +384,10 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             SelectionConfig(mode="conformal")
 
+    def test_alpha_outside_unit_interval_rejected(self):
+        with pytest.raises(ParameterError, match="alpha"):
+            SelectionConfig(alpha=1.5)
+
     @pytest.mark.parametrize("k", [100.0, 4e3, 2.5, np.nan])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ParameterError, match="k must be an integer"):

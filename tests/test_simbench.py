@@ -319,6 +319,18 @@ class TestEvaluate:
             assert rep.distractor_hits == sum(o.hit_distractor for o in outs)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [("gain", 0.0), ("gain", -1.0),
+                                              ("blob_sigma", 0.0), ("spike_count", -1)])
+    def test_bad_model_config_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SynthModelConfig(**{field: value})
+
+    def test_empty_calibration_set_rejected(self):
+        with pytest.raises(ParameterError, match="n_samples"):
+            make_calibration_set(0, 2.0, ActionGrid((4,)), seed=0)
+
+
 class TestCalibrationOrdering:
     @pytest.mark.parametrize("gain", [0.5, 2.0, 5.0])
     def test_gain_recovery(self, gain):
